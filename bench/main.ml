@@ -620,20 +620,16 @@ let generality () =
 
 let replay_bench () =
   section
-    "Sharded streaming replay: one traced execution drives every tool \
-     (chunk-parallel decode, mergeable tool shards)";
+    "Tool-parallel replay: one traced execution drives every tool \
+     (one tool group per domain over a shared verified reader)";
   let tiny = Scenario.tiny in
   let prog = Harness.compile tiny in
-  let symtab = prog.Tq_vm.Program.symtab in
   let fuel = Harness.fuel tiny in
   let fresh () =
     Engine.create (Machine.create ~vfs:(Harness.make_vfs tiny) prog)
   in
-  let render_tquad t =
-    R.figure t ~metric:Tq.Read_incl ~kernels:(Tq.kernels t) ~title:"fig" ()
-  in
-  let render_quad q = R.quad_table (Q.rows q) in
-  let render_gprof g = R.flat_profile (G.flat_profile g) in
+  let render_tquad = Tq_serve.Toolset.render_tquad ~slice:2_000 in
+  let render_quad = Tq_serve.Toolset.render_quad in
   (* record once ... *)
   let path = Filename.temp_file "tquad_bench" ".trc" in
   let events, record_dt =
@@ -651,49 +647,17 @@ let replay_bench () =
     (Tq_util.Text_table.int_cell (Tq_trace.Reader.byte_size r0))
     record_dt
     (Tq_trace.Reader.n_chunks r0);
-  (* ... replay every tool from the one trace; every tool except the
-     order-sensitive cache simulator carries its shard capability *)
-  let job = Tq_trace.Replay.job in
+  (* ... replay every tool from the one trace *)
   let jobs =
-    [
-      job ~wants:Tq.interest
-        ~sharded:(Tq.sharded ~slice_interval:2_000 symtab ~render:render_tquad)
-        "tquad"
-        (fun () ->
-          let t = Tq.create ~slice_interval:2_000 symtab in
-          (Tq.consume t, fun () -> render_tquad t));
-      job ~wants:Q.interest ~sharded:(Q.sharded symtab ~render:render_quad)
-        "quad"
-        (fun () ->
-          let q = Q.create symtab in
-          (Q.consume q, fun () -> render_quad q));
-      job ~wants:G.interest
-        ~sharded:(G.sharded ~period:2_000 symtab ~render:render_gprof)
-        "gprof"
-        (fun () ->
-          let g = G.create ~period:2_000 symtab in
-          (G.consume g, fun () -> render_gprof g));
-      job ~wants:Tq_prof.Ins_mix.interest
-        ~sharded:(Tq_prof.Ins_mix.sharded prog ~render:Tq_prof.Ins_mix.render)
-        "mix"
-        (fun () ->
-          let mix = Tq_prof.Ins_mix.create prog in
-          (Tq_prof.Ins_mix.consume mix, fun () -> Tq_prof.Ins_mix.render mix));
-      job ~wants:Tq_prof.Cache_sim.interest "cache" (fun () ->
-          let c = Tq_prof.Cache_sim.create symtab in
-          (Tq_prof.Cache_sim.consume c, fun () -> Tq_prof.Cache_sim.render c));
-      job ~wants:Tq_prof.Footprint.interest
-        ~sharded:(Tq_prof.Footprint.sharded prog ~render:Tq_prof.Footprint.render)
-        "footprint"
-        (fun () ->
-          let f = Tq_prof.Footprint.create prog in
-          (Tq_prof.Footprint.consume f, fun () -> Tq_prof.Footprint.render f));
-    ]
+    List.map
+      (fun name ->
+        Result.get_ok (Tq_serve.Toolset.job ~prog ~slice:2_000 ~period:2_000 name))
+      Tq_serve.Toolset.names
   in
   (* Interleaved rounds, best-of per side: one-shot wall clocks on these
      sub-second runs swing with machine load and accumulated GC state, so
-     each round times live tquad, live quad, the sequential oracle and the
-     sharded pipeline back to back (drift hits all sides alike) behind a
+     each round times live tquad, live quad, the sequential oracle and
+     parallel replay back to back (drift hits all sides alike) behind a
      compacted heap, and each side keeps its fastest round. *)
   let rounds = 5 in
   let live_tquad = ref "" and tquad_dt = ref infinity in
@@ -742,20 +706,21 @@ let replay_bench () =
   let seq_results = !seq_results and seq_dt = !seq_dt in
   let results = !results and replay_dt = !replay_dt in
   let noverify_dt = !noverify_dt in
-  (* shard-count scaling: same pipeline, fixed shard counts *)
-  let shard_table =
-    List.map
-      (fun shards ->
+  (* domain scaling: same jobs, 1..hardware domains, with the efficiency
+     column (speedup over one domain, divided by the domain count) *)
+  let domain_table =
+    List.init (Domain.recommended_domain_count ()) (fun i ->
+        let domains = i + 1 in
         let dt = ref infinity in
         for _ = 1 to 2 do
           Gc.compact ();
           best dt (ref [])
             (timed (fun () ->
-                 Tq_trace.Replay.parallel ~shards (fresh_reader ()) jobs))
+                 Tq_trace.Replay.parallel ~domains (fresh_reader ()) jobs))
         done;
-        (shards, !dt))
-      [ 1; 2; 4; 8 ]
+        (domains, !dt))
   in
+  let one_domain_dt = List.assoc 1 domain_table in
   (* v4 redundancy suppression: record overhead, container shrink, and the
      replay effect of decoding each loop body once per repeat chunk *)
   let cpath = Filename.temp_file "tquad_bench" ".trc4" in
@@ -797,8 +762,8 @@ let replay_bench () =
     | Some (Ok replayed) -> replayed = live
     | Some (Error _) | None -> false
   in
-  (* the tentpole's exactness bar: every sharded report byte-identical to
-     the sequential oracle's *)
+  (* the exactness bar: every parallel report byte-identical to the
+     sequential oracle's *)
   let all_identical =
     List.for_all
       (fun (j : Tq_trace.Replay.job) ->
@@ -815,16 +780,13 @@ let replay_bench () =
   let domains_used =
     match !stats with Some s -> s.Tq_trace.Replay.rs_domains | None -> 1
   in
-  let shards_used =
-    match !stats with Some s -> s.Tq_trace.Replay.rs_shards | None -> 1
-  in
   Printf.printf
-    "  replayed %d tools (%d domain(s), %d shard(s), %d hardware) in %.2fs\n"
-    (List.length results) domains_used shards_used
+    "  replayed %d tools (%d domain(s), %d hardware) in %.2fs\n"
+    (List.length results) domains_used
     (Domain.recommended_domain_count ())
     replay_dt;
   Printf.printf "  sequential oracle (single pass, all tools): %.2fs\n" seq_dt;
-  Printf.printf "  sharded reports byte-identical to sequential oracle: %b\n"
+  Printf.printf "  parallel reports byte-identical to sequential oracle: %b\n"
     all_identical;
   Printf.printf "  tquad replay byte-identical to live run: %b\n"
     (identical "tquad" live_tquad);
@@ -847,13 +809,18 @@ let replay_bench () =
   in
   Printf.printf
     "  CRC verification: replay %.3fs verified vs %.3fs unverified \
-     (%+.2f%% overhead; CRC runs inside the decode stage)\n"
+     (%+.2f%% overhead)\n"
     replay_dt noverify_dt crc_overhead_pct;
   List.iter
-    (fun (shards, dt) ->
-      Printf.printf "  shards=%d: %.3fs (%.2fx vs sequential)\n" shards dt
+    (fun (domains, dt) ->
+      let speedup = one_domain_dt /. dt in
+      Printf.printf
+        "  domains=%d: %.3fs (speedup %.2fx, efficiency %.2f; %.2fx vs \
+         sequential)\n"
+        domains dt speedup
+        (speedup /. float_of_int domains)
         (seq_dt /. dt))
-    shard_table;
+    domain_table;
   Printf.printf "  job failures during replay: %d\n" failures;
   Printf.printf
     "  compression (record --compress): %s -> %s bytes (%.2fx smaller, \
@@ -879,16 +846,18 @@ let replay_bench () =
       ("speedup_vs_two_live_runs", jfloat (two_runs /. replay_dt));
       ("sharded_vs_sequential", jfloat (seq_dt /. replay_dt));
       ("domains_used", jint domains_used);
-      ("shards_used", jint shards_used);
-      ( "shard_table",
+      ( "domain_table",
         Obs.Json.List
           (List.map
-             (fun (shards, dt) ->
+             (fun (domains, dt) ->
+               let speedup = one_domain_dt /. dt in
                Obs.Json.Obj
-                 [ ("shards", jint shards);
+                 [ ("domains", jint domains);
                    ("wall_s", jfloat dt);
+                   ("speedup", jfloat speedup);
+                   ("efficiency", jfloat (speedup /. float_of_int domains));
                    ("speedup_vs_sequential", jfloat (seq_dt /. dt)) ])
-             shard_table) );
+             domain_table) );
       ("tquad_identical", jstr (string_of_bool (identical "tquad" live_tquad)));
       ("quad_identical", jstr (string_of_bool (identical "quad" live_quad)));
       ("all_identical", jbool all_identical);

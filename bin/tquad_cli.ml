@@ -702,7 +702,7 @@ let sabotage name jobs =
     (fun (j : Tq_trace.Replay.job) ->
       if j.Tq_trace.Replay.name <> name then j
       else
-        Tq_trace.Replay.job ~wants:j.wants j.name (fun () ->
+        Tq_trace.Replay.job ~wants:j.wants ~cost:j.cost j.name (fun () ->
             let _sink, finish = j.make () in
             ( (fun _ -> failwith "deliberate failure injected by --fail-tool"),
               finish )))
@@ -733,24 +733,9 @@ let replay_cmd =
     Arg.(
       value & opt int 0
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains for --all (0 = one per core; 1 with default \
-                --shards = sequential).")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Trace ranges per shardable tool for --all (0 = one per \
-                domain).  Tools that cannot shard consume the ordered chunk \
-                walk instead.")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Decode window: chunks decoded ahead of the slowest consumer \
-                (0 = twice the domain count, at least 4).  Bounds replay's \
-                resident decoded-event memory.")
+          ~doc:"Worker domains for --all (0 = one per core).  The tools \
+                split into one group per domain; each domain streams the \
+                whole trace through its group.")
   in
   let slice_arg =
     Arg.(
@@ -777,7 +762,7 @@ let replay_cmd =
             "Testing aid: make TOOL's replay job raise on its first event, \
              to exercise the partial-failure exit code (4).")
   in
-  let run metrics trace file wfs tool all domains shards batch slice period
+  let run metrics trace file wfs tool all domains slice period
       salvage fail_tool =
     obs_init "replay" metrics;
     let prog =
@@ -839,8 +824,8 @@ let replay_cmd =
     let prepare jobs =
       match fail_tool with Some name -> sabotage name jobs | None -> jobs
     in
-    (* per-domain wall times and pipeline stats for the manifest's
-       ["replay"] section; captured into refs so one section carries both *)
+    (* per-domain wall times and run stats for the manifest's ["replay"]
+       section; captured into refs so one section carries both *)
     let timings_ref = ref None and stats_ref = ref None in
     let timings =
       if Obs.Span.is_enabled !obs then Some (fun ts -> timings_ref := Some ts)
@@ -867,17 +852,19 @@ let replay_cmd =
             | None -> []
             | Some s ->
                 Tq_trace.Replay.
-                  [ ("shards", Obs.Json.Int s.rs_shards);
-                    ("batch", Obs.Json.Int s.rs_batch);
+                  [ ( "groups",
+                      Obs.Json.List
+                        (List.map
+                           (fun (t : domain_timing) ->
+                             Obs.Json.List
+                               (List.map (fun j -> Obs.Json.Str j) t.jobs))
+                           ts) );
                     ("chunks", Obs.Json.Int s.rs_chunks);
                     ("events", Obs.Json.Int s.rs_events);
-                    ("peak_live_chunks", Obs.Json.Int s.rs_peak_live_chunks);
                     ( "stage_s",
                       Obs.Json.Obj
-                        [ ("decode", Obs.Json.Float s.rs_decode_s);
-                          ("ordered", Obs.Json.Float s.rs_ordered_s);
-                          ("shard", Obs.Json.Float s.rs_shard_s);
-                          ("merge", Obs.Json.Float s.rs_merge_s) ] ) ]
+                        [ ("crc", Obs.Json.Float s.rs_decode_s);
+                          ("passes", Obs.Json.Float s.rs_ordered_s) ] ) ]
           in
           obs_section "replay"
             (Obs.Json.Obj
@@ -912,14 +899,9 @@ let replay_cmd =
         in
         let results =
           span "replay" (fun () ->
-              if domains = 1 && shards <= 1 && batch <= 0 then
-                Tq_trace.Replay.sequential ?timings reader jobs
-              else
-                Tq_trace.Replay.parallel
-                  ?domains:(if domains > 0 then Some domains else None)
-                  ?shards:(if shards > 0 then Some shards else None)
-                  ?batch:(if batch > 0 then Some batch else None)
-                  ?timings ?stats reader jobs)
+              Tq_trace.Replay.parallel
+                ?domains:(if domains > 0 then Some domains else None)
+                ?timings ?stats reader jobs)
         in
         emit_replay_section ();
         finish_results ~banner:true results
@@ -937,7 +919,7 @@ let replay_cmd =
           survivors' reports were printed)")
     Term.(
       const run $ metrics_arg $ trace_pos_arg $ file_pos_arg $ wfs_arg
-      $ tool_arg $ all_arg $ domains_arg $ shards_arg $ batch_arg $ slice_arg
+      $ tool_arg $ all_arg $ domains_arg $ slice_arg
       $ period_arg $ salvage_arg $ fail_tool_arg)
 
 (* ---------- trace inspection / fault injection ---------- *)

@@ -19,7 +19,7 @@ type t = {
 
 let arc_key a b = (a lsl 20) lor b
 
-let create ?(period = 10_000) ?(clock_hz = 1e9) ?stack ?next_sample symtab =
+let create ?(period = 10_000) ?(clock_hz = 1e9) symtab =
   if period <= 0 then invalid_arg "Gprofsim.create: period must be positive";
   let n = Symtab.count symtab in
   {
@@ -29,11 +29,8 @@ let create ?(period = 10_000) ?(clock_hz = 1e9) ?stack ?next_sample symtab =
     samples = Array.make n 0;
     calls = Array.make n 0;
     arc_counts = Hashtbl.create 64;
-    stack =
-      (match stack with
-      | Some s -> s
-      | None -> Call_stack.create Call_stack.Track_all);
-    next_sample = (match next_sample with Some v -> v | None -> period);
+    stack = Call_stack.create Call_stack.Track_all;
+    next_sample = period;
     n_samples = 0;
   }
 
@@ -79,58 +76,6 @@ let consume t (ev : Event.t) =
       ()
 
 let interest = Event.[ KRtn_entry; KRet; KBlock_exec ]
-
-(* All reported state is additive: sample/call counters and arc counts sum,
-   and the renderers never read the stack or the sampling phase, so merged
-   shards report exactly what one pass would have. *)
-let merge_into a b =
-  Array.iteri
-    (fun i v -> if v <> 0 then a.samples.(i) <- a.samples.(i) + v)
-    b.samples;
-  Array.iteri
-    (fun i v -> if v <> 0 then a.calls.(i) <- a.calls.(i) + v)
-    b.calls;
-  Hashtbl.iter
-    (fun key count ->
-      Hashtbl.replace a.arc_counts key
-        (count + Option.value ~default:0 (Hashtbl.find_opt a.arc_counts key)))
-    b.arc_counts;
-  a.n_samples <- a.n_samples + b.n_samples;
-  if b.next_sample > a.next_sample then a.next_sample <- b.next_sample
-
-let sharded ?(period = 10_000) ?clock_hz symtab ~render =
-  Tq_trace.Replay.Sharded
-    {
-      prefix_wants = Event.[ KRtn_entry; KRet; KBlock_exec ];
-      prefix =
-        (fun () ->
-          if period <= 0 then
-            invalid_arg "Gprofsim.sharded: period must be positive";
-          let st = Call_stack.create Call_stack.Track_all in
-          let next = ref period in
-          let sink (ev : Event.t) =
-            match ev with
-            | Event.Rtn_entry { routine; sp; _ } ->
-                Call_stack.on_entry st (Symtab.by_id symtab routine) ~sp
-            | Event.Ret { sp; _ } -> Call_stack.on_ret st ~sp
-            | Event.Block_exec { icount; n; _ } ->
-                (* closed form of [sample_block]'s phase advance: after a
-                   block whose last instruction retires at [e >= next], the
-                   next sample lands on the first period multiple past [e] *)
-                if n > 0 then begin
-                  let e = icount + n - 1 in
-                  if e >= !next then next := period * ((e / period) + 1)
-                end
-            | _ -> ()
-          in
-          (sink, fun () -> (Call_stack.copy st, !next)));
-      shard =
-        (fun (stack, next_sample) ->
-          let t = create ~period ?clock_hz ~stack ~next_sample symtab in
-          (consume t, fun () -> t));
-      merge = merge_into;
-      render;
-    }
 
 let attach ?period ?clock_hz engine =
   let machine = Engine.machine engine in
@@ -202,10 +147,9 @@ let totals (t : t) =
       let a = key lsr 20 and b = key land 0xfffff in
       succs_tbl.(a) <- (b, count) :: succs_tbl.(a))
     t.arc_counts;
-  (* hashtable iteration order depends on insertion order, which differs
-     between a sequential pass and a shard merge; sort the successor lists
-     so component ids and float-propagation order depend only on the arc
-     contents *)
+  (* hashtable iteration order depends on insertion order; sort the
+     successor lists so component ids and float-propagation order depend
+     only on the arc contents *)
   Array.iteri (fun i l -> succs_tbl.(i) <- List.sort compare l) succs_tbl;
   let comp, n_comp = sccs n (fun v -> List.map fst succs_tbl.(v)) in
   (* aggregate per component *)
@@ -301,8 +245,8 @@ let arcs (t : t) =
   |> List.sort (fun ((ca : Symtab.routine), (ea : Symtab.routine), a)
                     ((cb : Symtab.routine), (eb : Symtab.routine), b) ->
          (* count-descending with a caller/callee-id tiebreak: hashtable
-            fold order varies with insertion order (sequential vs merged
-            shards), so ties must not depend on it *)
+            fold order varies with insertion order, so ties must not
+            depend on it *)
          match compare b a with
          | 0 -> compare (ca.Symtab.id, ea.Symtab.id) (cb.Symtab.id, eb.Symtab.id)
          | c -> c)

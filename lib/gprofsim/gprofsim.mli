@@ -24,32 +24,12 @@ type t
 val create :
   ?period:int ->
   ?clock_hz:float ->
-  ?stack:Tq_prof.Call_stack.t ->
-  ?next_sample:int ->
   Tq_vm.Symtab.t ->
   t
 (** Build an unattached profiler; feed it events with {!consume}, live or
     replayed.  [period] instructions between samples (default 10_000 — the
     analogue of gprof's 10 ms tick); [clock_hz] simulated instructions per
-    second (default 1e9).  [stack] and [next_sample] seed the internal call
-    stack and the sampling phase — used by {!sharded} to start a mid-trace
-    shard exactly where the prefix left off. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into a b] folds [b] (the adjacent later trace range) into [a]:
-    samples, calls, call-graph arcs and the total sample count all add. *)
-
-val sharded :
-  ?period:int ->
-  ?clock_hz:float ->
-  Tq_vm.Symtab.t ->
-  render:(t -> string) ->
-  Tq_trace.Replay.sharded
-(** Shard-parallel capability for {!Tq_trace.Replay.parallel}: the ordered
-    prefix maintains the [Track_all] call stack and the sampling phase (a
-    closed form of the per-block advance), shards seed from a stack copy +
-    phase, counters merge by addition — byte-identical to the sequential
-    profile. *)
+    second (default 1e9). *)
 
 val interest : Tq_trace.Event.kind list
 (** Event kinds {!consume} does work on — pass as [?wants] to

@@ -127,7 +127,20 @@ let check_replay v =
     (fun (k, x) ->
       let path = "replay." ^ k in
       match k with
-      | "domains" -> ignore (as_int path x)
+      | "domains" | "chunks" | "events" -> ignore (as_int path x)
+      | "groups" ->
+          List.iteri
+            (fun i gv ->
+              let path = Printf.sprintf "replay.groups[%d]" i in
+              List.iteri
+                (fun j jv ->
+                  ignore (as_str (Printf.sprintf "%s[%d]" path j) jv))
+                (as_list path gv))
+            (as_list path x)
+      | "stage_s" ->
+          List.iter
+            (fun (k2, y) -> ignore (as_num (path ^ "." ^ k2) y))
+            (as_obj path x)
       | "timings" ->
           List.iteri
             (fun i tv ->

@@ -10,7 +10,6 @@ type t = {
 }
 
 let create policy = { policy; frames = []; depth = 0; max_depth = 0 }
-let copy t = { t with policy = t.policy }
 let policy t = t.policy
 
 let tracked t (r : Tq_vm.Symtab.routine) =

@@ -19,12 +19,6 @@ type t
 
 val create : policy -> t
 
-val copy : t -> t
-(** An independent snapshot: pushes/pops on the copy do not affect the
-    original (frames are immutable, so the spine is shared).  Used to seed
-    trace-range shards of the sharded replay pipeline with the exact stack
-    state at the shard boundary. *)
-
 val policy : t -> policy
 (** The policy the stack was created with. *)
 

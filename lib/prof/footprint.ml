@@ -17,16 +17,14 @@ type t = {
   stack : Call_stack.t;
 }
 
-let create ?(policy = Call_stack.Main_image_only) ?stack
-    (prog : Tq_vm.Program.t) =
+let create ?(policy = Call_stack.Main_image_only) (prog : Tq_vm.Program.t) =
   {
     symtab = prog.Tq_vm.Program.symtab;
     data_end = prog.Tq_vm.Program.data_end;
     touched =
       Array.init (Symtab.count prog.Tq_vm.Program.symtab) (fun _ ->
           Bitset.create ());
-    stack =
-      (match stack with Some s -> s | None -> Call_stack.create policy);
+    stack = Call_stack.create policy;
   }
 
 let mark t static ea n =
@@ -49,36 +47,6 @@ let consume t (ev : Event.t) =
 
 let interest =
   Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
-
-(* Touched-address sets union; the [rows] sort reads the fixed id-indexed
-   array, so tie order is identical to the sequential run's. *)
-let merge_into a b =
-  Array.iteri (fun id bits -> Bitset.union a.touched.(id) bits) b.touched
-
-let sharded ?(policy = Call_stack.Main_image_only) (prog : Tq_vm.Program.t)
-    ~render =
-  let symtab = prog.Tq_vm.Program.symtab in
-  Tq_trace.Replay.Sharded
-    {
-      prefix_wants = Event.[ KRtn_entry; KRet ];
-      prefix =
-        (fun () ->
-          let st = Call_stack.create policy in
-          let sink (ev : Event.t) =
-            match ev with
-            | Event.Rtn_entry { routine; sp; _ } ->
-                Call_stack.on_entry st (Symtab.by_id symtab routine) ~sp
-            | Event.Ret { sp; _ } -> Call_stack.on_ret st ~sp
-            | _ -> ()
-          in
-          (sink, fun () -> Call_stack.copy st));
-      shard =
-        (fun seed ->
-          let t = create ~policy ~stack:seed prog in
-          (consume t, fun () -> t));
-      merge = merge_into;
-      render;
-    }
 
 let attach ?policy engine =
   let machine = Engine.machine engine in

@@ -16,24 +16,9 @@ val region_name : region -> string
 
 type t
 
-val create :
-  ?policy:Call_stack.policy -> ?stack:Call_stack.t -> Tq_vm.Program.t -> t
+val create : ?policy:Call_stack.policy -> Tq_vm.Program.t -> t
 (** Build an unattached tool; feed it events with {!consume}, live or
-    replayed.  [stack], if given, seeds the internal call stack — used by
-    {!sharded} to start a mid-trace shard from the boundary's stack. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into a b] unions [b]'s per-kernel touched-address sets into
-    [a]'s ([b] covers the adjacent later trace range). *)
-
-val sharded :
-  ?policy:Call_stack.policy ->
-  Tq_vm.Program.t ->
-  render:(t -> string) ->
-  Tq_trace.Replay.sharded
-(** Shard-parallel capability for {!Tq_trace.Replay.parallel}: stack-only
-    ordered prefix, {!Call_stack.copy} seeds, bitset-union merge —
-    byte-identical to the sequential report. *)
+    replayed. *)
 
 val consume : t -> Tq_trace.Event.t -> unit
 (** Process one event; live and replayed runs produce bit-identical

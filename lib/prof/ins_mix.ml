@@ -119,39 +119,6 @@ let consume t (ev : Event.t) =
 
 let interest = Event.[ KBlock_exec ]
 
-(* Execution counts add per block; a block re-summarized at a different
-   length in the later range displaces the earlier summary exactly as a
-   sequential run would, and [snapshot]'s totals are commutative sums over
-   summaries, so displaced-list order is immaterial. *)
-let merge_into a b =
-  Array.iteri
-    (fun i sb ->
-      match sb with
-      | None -> ()
-      | Some sb -> (
-          match a.blocks.(i) with
-          | Some sa when sa.b_n = sb.b_n ->
-              sa.b_execs <- sa.b_execs + sb.b_execs
-          | Some sa ->
-              a.displaced <- sa :: a.displaced;
-              a.blocks.(i) <- Some sb
-          | None -> a.blocks.(i) <- Some sb))
-    b.blocks;
-  a.displaced <- b.displaced @ a.displaced
-
-let sharded program ~render =
-  Tq_trace.Replay.Sharded
-    {
-      prefix_wants = [];
-      prefix = (fun () -> ((fun (_ : Event.t) -> ()), fun () -> ()));
-      shard =
-        (fun () ->
-          let t = create program in
-          (consume t, fun () -> t));
-      merge = merge_into;
-      render;
-    }
-
 (* Fold every block summary (weighted by its execution count) into overall
    and per-kernel category totals. *)
 let snapshot t =

@@ -32,18 +32,6 @@ val interest : Tq_trace.Event.kind list
 val attach : Tq_dbi.Engine.t -> t
 (** Register the tool: [create] + {!Tq_trace.Probe.attach}. *)
 
-val merge_into : t -> t -> unit
-(** [merge_into a b] folds [b] (the adjacent later trace range) into [a]:
-    per-block execution counts add; a block re-summarized at a different
-    length displaces the earlier summary, as in a sequential run. *)
-
-val sharded :
-  Tq_vm.Program.t -> render:(t -> string) -> Tq_trace.Replay.sharded
-(** Shard-parallel capability for {!Tq_trace.Replay.parallel}.  Block
-    summaries carry no cross-range state, so shards need no seed (empty
-    prefix) and merge by adding execution counts — byte-identical to the
-    sequential report. *)
-
 val total : t -> category -> int
 (** Retired instructions of that category over the whole run. *)
 

@@ -13,12 +13,6 @@ type edge = {
   e_addrs : Bitset.t;
 }
 
-(* Deferred producer charges for a shard that starts mid-trace: a read whose
-   byte has no producer in the shard's own shadow may still have one in an
-   earlier trace range, so the charge (keyed by address and consumer) waits
-   until [merge_into] can resolve it against the earlier range's shadow. *)
-type pend = { mutable p_incl : int; mutable p_excl : int }
-
 type t = {
   symtab : Symtab.t;
   stack : Call_stack.t;
@@ -33,10 +27,6 @@ type t = {
   write_unma_excl : Bitset.t array;
   write_unma_incl : Bitset.t array;
   edges : (int, edge) Hashtbl.t;  (** key: producer * 2^20 + consumer *)
-  pending : (int * int, pend) Hashtbl.t option;
-      (** key: (addr, consumer) — a boxed pair, not a packed int: stack
-          addresses reach 2^47 and would overflow a shifted key.  [Some]
-          only for mid-trace shards *)
   mutable touched : bool array;  (** routines with any traffic *)
   (* last edge charged: a multi-byte access usually has one producer, so
      this skips the hash lookup almost always *)
@@ -80,19 +70,6 @@ let charge t kernel_id p addr len ~stack =
   if not stack then e.e_bytes_excl <- e.e_bytes_excl + len;
   Bitset.add_range e.e_addrs addr len
 
-let defer tbl kernel_id addr ~stack =
-  let pd =
-    let key = (addr, kernel_id) in
-    match Hashtbl.find_opt tbl key with
-    | Some pd -> pd
-    | None ->
-        let pd = { p_incl = 0; p_excl = 0 } in
-        Hashtbl.add tbl key pd;
-        pd
-  in
-  pd.p_incl <- pd.p_incl + 1;
-  if not stack then pd.p_excl <- pd.p_excl + 1
-
 let on_read t kernel_id ea size sp =
   t.touched.(kernel_id) <- true;
   if size > 0 then begin
@@ -123,13 +100,6 @@ let on_read t kernel_id ea size sp =
           done;
           if p >= 0 then
             charge t kernel_id p (addr + run0) (!k - run0) ~stack:lo_stack
-          else
-            match t.pending with
-            | None -> ()
-            | Some tbl ->
-                for b = run0 to !k - 1 do
-                  defer tbl kernel_id (addr + b) ~stack:lo_stack
-                done
         done;
         pos := !pos + span
       done
@@ -145,10 +115,6 @@ let on_read t kernel_id ea size sp =
         end;
         let p = Shadow.get t.shadow addr in
         if p >= 0 then charge t kernel_id p addr 1 ~stack:is_stack
-        else
-          match t.pending with
-          | None -> ()
-          | Some tbl -> defer tbl kernel_id addr ~stack:is_stack
       done
   end
 
@@ -170,12 +136,11 @@ let on_write t kernel_id ea size sp =
     Shadow.set_range t.shadow ea size kernel_id
   end
 
-let create ?(policy = Call_stack.Main_image_only) ?stack ?(pending = false)
-    symtab =
+let create ?(policy = Call_stack.Main_image_only) symtab =
   let n = Symtab.count symtab in
   {
     symtab;
-    stack = (match stack with Some s -> s | None -> Call_stack.create policy);
+    stack = Call_stack.create policy;
     shadow = Shadow.create ();
     in_excl = Array.make n 0;
     in_incl = Array.make n 0;
@@ -186,7 +151,6 @@ let create ?(policy = Call_stack.Main_image_only) ?stack ?(pending = false)
     write_unma_excl = Array.init n (fun _ -> Bitset.create ());
     write_unma_incl = Array.init n (fun _ -> Bitset.create ());
     edges = Hashtbl.create 256;
-    pending = (if pending then Some (Hashtbl.create 256) else None);
     touched = Array.make n false;
     last_edge_key = -1;
     last_edge = no_edge;
@@ -219,79 +183,6 @@ let consume t (ev : Event.t) =
 
 let interest =
   Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
-
-(* [a] must cover the trace from its start up to where [b]'s range begins:
-   [b]'s deferred reads resolve against [a]'s shadow (the byte's last writer
-   before [b] began), and a miss there means the byte genuinely has no
-   producer — the same outcome a sequential run reaches.  Resolution happens
-   before the shadows merge, since [b]'s writes must not shadow producers
-   that [b]'s reads predate.  Everything else is commutative: counters add,
-   UnMA and edge address sets union, [b]'s shadow overwrites [a]'s where
-   both wrote. *)
-let merge_into a b =
-  (match b.pending with
-  | None -> ()
-  | Some tbl ->
-      Hashtbl.iter
-        (fun (addr, c) pd ->
-          let p = Shadow.get a.shadow addr in
-          if p >= 0 then begin
-            a.out_incl.(p) <- a.out_incl.(p) + pd.p_incl;
-            a.out_excl.(p) <- a.out_excl.(p) + pd.p_excl;
-            let e = edge_of a (edge_key p c) in
-            e.e_bytes_incl <- e.e_bytes_incl + pd.p_incl;
-            e.e_bytes_excl <- e.e_bytes_excl + pd.p_excl;
-            Bitset.add e.e_addrs addr
-          end)
-        tbl);
-  let n = Array.length a.in_excl in
-  for id = 0 to n - 1 do
-    a.in_excl.(id) <- a.in_excl.(id) + b.in_excl.(id);
-    a.in_incl.(id) <- a.in_incl.(id) + b.in_incl.(id);
-    a.out_excl.(id) <- a.out_excl.(id) + b.out_excl.(id);
-    a.out_incl.(id) <- a.out_incl.(id) + b.out_incl.(id);
-    Bitset.union a.read_unma_excl.(id) b.read_unma_excl.(id);
-    Bitset.union a.read_unma_incl.(id) b.read_unma_incl.(id);
-    Bitset.union a.write_unma_excl.(id) b.write_unma_excl.(id);
-    Bitset.union a.write_unma_incl.(id) b.write_unma_incl.(id);
-    if b.touched.(id) then a.touched.(id) <- true
-  done;
-  Hashtbl.iter
-    (fun key eb ->
-      let ea = edge_of a key in
-      ea.e_bytes_excl <- ea.e_bytes_excl + eb.e_bytes_excl;
-      ea.e_bytes_incl <- ea.e_bytes_incl + eb.e_bytes_incl;
-      Bitset.union ea.e_addrs eb.e_addrs)
-    b.edges;
-  Shadow.merge_into a.shadow b.shadow
-
-let sharded ?policy symtab ~render =
-  Tq_trace.Replay.Sharded
-    {
-      prefix_wants = Event.[ KRtn_entry; KRet ];
-      prefix =
-        (fun () ->
-          let st =
-            Call_stack.create
-              (match policy with
-              | Some p -> p
-              | None -> Call_stack.Main_image_only)
-          in
-          let sink (ev : Event.t) =
-            match ev with
-            | Event.Rtn_entry { routine; sp; _ } ->
-                Call_stack.on_entry st (Symtab.by_id symtab routine) ~sp
-            | Event.Ret { sp; _ } -> Call_stack.on_ret st ~sp
-            | _ -> ()
-          in
-          (sink, fun () -> Call_stack.copy st));
-      shard =
-        (fun seed ->
-          let t = create ?policy ~stack:seed ~pending:true symtab in
-          (consume t, fun () -> t));
-      merge = merge_into;
-      render;
-    }
 
 let attach ?policy engine =
   let machine = Engine.machine engine in
@@ -358,8 +249,7 @@ let bindings t =
     t.edges []
   |> List.sort (fun a b ->
          (* tie-break on the routine pair: the fold order above follows
-            hashtable layout, which differs between a sequential run and a
-            merged shard fold *)
+            hashtable layout, which is not part of the report *)
          match compare b.bytes_incl a.bytes_incl with
          | 0 ->
              compare

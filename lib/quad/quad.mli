@@ -19,34 +19,12 @@ type t
 
 val create :
   ?policy:Tq_prof.Call_stack.policy ->
-  ?stack:Tq_prof.Call_stack.t ->
-  ?pending:bool ->
   Tq_vm.Symtab.t ->
   t
 (** Build an unattached analyser over [symtab]; feed it events with
     {!consume}, live or replayed.  [policy] defaults to [Main_image_only]:
     traffic performed by library/OS routines is attributed to the innermost
-    main-image caller.  [stack] seeds the internal call stack and [pending]
-    (default false) defers producer charges for reads whose byte has no
-    producer yet — both are shard-mode knobs used by {!sharded} to start
-    mid-trace; a lone analyser needs neither. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into a b] folds [b] (the adjacent later trace range) into [a]:
-    byte counters add, UnMA and binding address sets union, [b]'s deferred
-    producer charges resolve against [a]'s shadow map, then [b]'s shadow
-    writes supersede [a]'s.  [a] must cover the trace from its beginning up
-    to where [b] starts. *)
-
-val sharded :
-  ?policy:Tq_prof.Call_stack.policy ->
-  Tq_vm.Symtab.t ->
-  render:(t -> string) ->
-  Tq_trace.Replay.sharded
-(** Shard-parallel capability for {!Tq_trace.Replay.parallel}: the ordered
-    prefix tracks only the call stack, each shard runs with a seeded stack
-    in pending mode, and {!merge_into} resolves cross-shard producer/
-    consumer bindings — byte-identical to the sequential report. *)
+    main-image caller. *)
 
 val consume : t -> Tq_trace.Event.t -> unit
 (** Process one event.  Live instrumentation and trace replay share this

@@ -74,16 +74,3 @@ let get t addr =
         p.(addr land (page_size - 1))
 
 let page_count t = Hashtbl.length t.pages
-
-(* Overlay [src] onto [dst]: every byte [src] saw written (producer >= 0)
-   wins — [src] covers a later trace range, so its producers are newer.
-   Bytes [src] never wrote (-1) keep [dst]'s producer. *)
-let merge_into dst src =
-  Hashtbl.iter
-    (fun idx src_page ->
-      let dst_page = page_of dst idx in
-      for i = 0 to page_size - 1 do
-        let p = Array.unsafe_get src_page i in
-        if p >= 0 then Array.unsafe_set dst_page i p
-      done)
-    src.pages

@@ -33,8 +33,3 @@ val page_ro : t -> int -> int array
     or [-1]; callers must not write through the returned array. *)
 
 val page_count : t -> int
-
-val merge_into : t -> t -> unit
-(** [merge_into dst src] overlays [src]'s written bytes onto [dst]: bytes
-    with a producer in [src] take [src]'s producer (later range wins); bytes
-    [src] never wrote keep [dst]'s.  [src] is unchanged. *)

@@ -63,60 +63,46 @@ let render_mix mix =
     (Tq_prof.Ins_mix.per_kernel mix);
   Buffer.contents buf
 
-(* Each job carries its tool's shard capability where one exists, so
-   [Replay.parallel] can split the trace; cache_sim's replacement state is
-   inherently order-sensitive, so it stays an ordered (non-sharded) job and
-   replays on the in-order walk. *)
+(* Each job carries a replay cost weight: the tool's sink cost on wfs
+   default (v4, 24.1M events, 2-core x86-64 box), i.e. its solo replay
+   wall minus a bare decode pass (0.48 s) — what the bench reports as
+   [<tool>.sink_s].  [Replay.parallel] balances its per-domain tool groups
+   on these weights; only their ratios matter.  Weighting by whole solo
+   walls instead would count the decode every domain pays anyway, and put
+   quad with cache: 2.42 s against 2.00 s per domain, vs 2.03/2.30 s
+   with these. *)
 let job ~prog ~slice ~period name =
   let symtab = prog.Tq_vm.Program.symtab in
+  let job = Tq_trace.Replay.job in
   match name with
   | "tquad" ->
       Ok
-        (Tq_trace.Replay.job ~wants:Tq_tquad.Tquad.interest
-           ~sharded:
-             (Tq_tquad.Tquad.sharded ~slice_interval:slice symtab
-                ~render:(render_tquad ~slice))
-           "tquad"
-           (fun () ->
+        (job ~wants:Tq_tquad.Tquad.interest ~cost:0.53 "tquad" (fun () ->
              let t = Tq_tquad.Tquad.create ~slice_interval:slice symtab in
              (Tq_tquad.Tquad.consume t, fun () -> render_tquad ~slice t)))
   | "quad" ->
       Ok
-        (Tq_trace.Replay.job ~wants:Tq_quad.Quad.interest
-           ~sharded:(Tq_quad.Quad.sharded symtab ~render:render_quad)
-           "quad"
-           (fun () ->
+        (job ~wants:Tq_quad.Quad.interest ~cost:1.31 "quad" (fun () ->
              let q = Tq_quad.Quad.create symtab in
              (Tq_quad.Quad.consume q, fun () -> render_quad q)))
   | "gprof" ->
       Ok
-        (Tq_trace.Replay.job ~wants:Tq_gprofsim.Gprofsim.interest
-           ~sharded:
-             (Tq_gprofsim.Gprofsim.sharded ~period symtab ~render:render_gprof)
-           "gprof"
-           (fun () ->
+        (job ~wants:Tq_gprofsim.Gprofsim.interest ~cost:0.05 "gprof" (fun () ->
              let g = Tq_gprofsim.Gprofsim.create ~period symtab in
              (Tq_gprofsim.Gprofsim.consume g, fun () -> render_gprof g)))
   | "mix" ->
       Ok
-        (Tq_trace.Replay.job ~wants:Tq_prof.Ins_mix.interest
-           ~sharded:(Tq_prof.Ins_mix.sharded prog ~render:render_mix)
-           "mix"
-           (fun () ->
+        (job ~wants:Tq_prof.Ins_mix.interest ~cost:0.05 "mix" (fun () ->
              let mix = Tq_prof.Ins_mix.create prog in
              (Tq_prof.Ins_mix.consume mix, fun () -> render_mix mix)))
   | "cache" ->
       Ok
-        (Tq_trace.Replay.job ~wants:Tq_prof.Cache_sim.interest "cache"
-           (fun () ->
+        (job ~wants:Tq_prof.Cache_sim.interest ~cost:0.31 "cache" (fun () ->
              let c = Tq_prof.Cache_sim.create symtab in
              (Tq_prof.Cache_sim.consume c, fun () -> Tq_prof.Cache_sim.render c)))
   | "footprint" ->
       Ok
-        (Tq_trace.Replay.job ~wants:Tq_prof.Footprint.interest
-           ~sharded:
-             (Tq_prof.Footprint.sharded prog ~render:Tq_prof.Footprint.render)
-           "footprint"
+        (job ~wants:Tq_prof.Footprint.interest ~cost:0.54 "footprint"
            (fun () ->
              let f = Tq_prof.Footprint.create prog in
              (Tq_prof.Footprint.consume f, fun () -> Tq_prof.Footprint.render f)))

@@ -18,11 +18,10 @@ val job :
   string ->
   (Tq_trace.Replay.job, string) result
 (** Build the named tool's replay job.  [slice] is the tquad time-slice
-    interval (instructions), [period] the gprof sampling period.  Every tool
-    except [cache] carries its shard capability, so {!Tq_trace.Replay.parallel}
-    can split the trace into chunk ranges; cache simulation is
-    order-sensitive and replays on the ordered walk.  [Error] names the
-    unknown tool and lists the valid ones. *)
+    interval (instructions), [period] the gprof sampling period.  Each job
+    carries the tool's measured replay cost, which
+    {!Tq_trace.Replay.parallel} uses to balance its per-domain tool groups.
+    [Error] names the unknown tool and lists the valid ones. *)
 
 (** {1 Renderers}
 

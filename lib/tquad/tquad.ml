@@ -71,14 +71,13 @@ let record t id ~read ~icount ~sp ea size =
   end
 
 let create ?(slice_interval = 10_000) ?(policy = Call_stack.Main_image_only)
-    ?stack symtab =
+    symtab =
   if slice_interval <= 0 then
     invalid_arg "Tquad.create: slice_interval must be positive";
   {
     symtab;
     interval = slice_interval;
-    stack =
-      (match stack with Some s -> s | None -> Call_stack.create policy);
+    stack = Call_stack.create policy;
     data = Array.make (Symtab.count symtab) None;
     max_slice = -1;
     any = false;
@@ -113,52 +112,6 @@ let consume t (ev : Event.t) =
 
 let interest =
   Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
-
-(* Per-slice byte counts are pure sums, so a later trace range's state folds
-   into an earlier one by elementwise addition; a kernel's presence (its
-   [kdata] allocation) happens only on traffic, so the merged kernel set is
-   exactly the union. *)
-let merge_into a b =
-  if b.any then a.any <- true;
-  if b.max_slice > a.max_slice then a.max_slice <- b.max_slice;
-  Array.iteri
-    (fun id kb ->
-      match kb with
-      | None -> ()
-      | Some kb ->
-          let ka = kdata_get a id in
-          let add da db =
-            Dyn.iteri (fun i v -> if v <> 0 then Dyn.add_at ( + ) da i v) db
-          in
-          add ka.kr_incl kb.kr_incl;
-          add ka.kr_excl kb.kr_excl;
-          add ka.kw_incl kb.kw_incl;
-          add ka.kw_excl kb.kw_excl)
-    b.data
-
-let sharded ?slice_interval ?(policy = Call_stack.Main_image_only) symtab
-    ~render =
-  Tq_trace.Replay.Sharded
-    {
-      prefix_wants = Event.[ KRtn_entry; KRet ];
-      prefix =
-        (fun () ->
-          let st = Call_stack.create policy in
-          let sink (ev : Event.t) =
-            match ev with
-            | Event.Rtn_entry { routine; sp; _ } ->
-                Call_stack.on_entry st (Symtab.by_id symtab routine) ~sp
-            | Event.Ret { sp; _ } -> Call_stack.on_ret st ~sp
-            | _ -> ()
-          in
-          (sink, fun () -> Call_stack.copy st));
-      shard =
-        (fun seed ->
-          let t = create ?slice_interval ~policy ~stack:seed symtab in
-          (consume t, fun () -> t));
-      merge = merge_into;
-      render;
-    }
 
 let attach ?slice_interval ?policy engine =
   let machine = Engine.machine engine in

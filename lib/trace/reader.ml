@@ -768,19 +768,22 @@ let iter ?from_icount t sink =
       ~chunks:t.chunks ~idx:i t.raw t.chunks.(i) sink
   done
 
-let crc_check t =
+let crc_check ?(lo = 0) ?hi t =
+  let n = Array.length t.chunks in
+  let hi = Option.value hi ~default:n in
+  if lo < 0 || hi > n || lo > hi then
+    invalid_arg "Trace.Reader.crc_check: chunk range out of bounds";
   if t.version < 3 then 0 (* v2 carries no checksums *)
   else begin
     let v4 = t.version = 4 in
-    Array.iteri
-      (fun idx chunk ->
-        if not t.verified.(idx) then begin
-          check_crc ~v4 t.raw chunk.c_offset
-            (parse_chunk ~v4 t.raw chunk.c_offset);
-          t.verified.(idx) <- true
-        end)
-      t.chunks;
-    Array.length t.chunks
+    for idx = lo to hi - 1 do
+      if not t.verified.(idx) then begin
+        let off = t.chunks.(idx).c_offset in
+        check_crc ~v4 t.raw off (parse_chunk ~v4 t.raw off);
+        t.verified.(idx) <- true
+      end
+    done;
+    hi - lo
   end
 
 let verified_chunks t =
@@ -815,6 +818,7 @@ let chunk_event_count t idx =
   t.chunks.(idx).c_events
 
 let fingerprint t = t.fingerprint
+let verifies t = t.verify
 let n_events t = t.n_events
 let n_chunks t = Array.length t.chunks
 let last_icount t = t.last_icount

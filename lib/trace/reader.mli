@@ -1,9 +1,14 @@
 (** Reader for recorded traces (see {!Writer} for the file layout and
     [docs/TRACE.md] for the full wire-format specification).
 
-    A loaded reader is immutable — [iter] keeps all decoding state local —
-    so one reader can drive any number of concurrent replay domains over the
-    same in-memory image ({!Replay.parallel}).
+    A loaded reader is immutable apart from its per-chunk verified bits —
+    [iter] keeps all decoding state local.  Concurrency contract: once
+    every chunk is verified ({!crc_check} has covered every chunk, or the
+    reader was loaded in [Salvage] mode, which is born verified, or with
+    [~verify:false], which never touches the bits), iteration ({!iter},
+    {!iter_tags}, {!chunk_events}) only reads the reader and is safe from
+    any number of domains at once — how {!Replay.parallel} shares one
+    reader across its domains.
 
     All three live container versions load here: v2 (no checksums), v3
     (CRC + salvage) and v4 (redundancy-suppressed).  A v4 {e repeat chunk}
@@ -12,7 +17,7 @@
     one def serves every repeat of the same body) — is expanded
     transparently during iteration, so every consumer ({!iter},
     {!iter_tags}, {!chunk_events}, and everything built on them:
-    sequential, sharded and salvage replay) sees the exact event stream
+    sequential, parallel and salvage replay) sees the exact event stream
     the probe emitted.  Body refs are cross-checked against the def's
     payload CRC at load time, so a reference can never silently resolve to
     the wrong body; in [Salvage] mode a repeat chunk whose def was lost to
@@ -26,10 +31,9 @@
     wrong events.  Each chunk is verified {e at most once per process}: the
     reader keeps a per-chunk verified bit shared by every iteration pass
     ({!iter}, {!iter_tags}, {!crc_check}, {!chunk_events}), so repeated
-    replays — or several replay domains walking the same reader — never pay
-    the digest twice.  The bits are written without synchronization; a race
-    between domains can at worst re-verify a chunk, never skip an unverified
-    one.  In [Strict] mode the trailer, the index and the exact
+    replays never pay the digest twice.  The bits are written without
+    synchronization, so verify before sharing a reader across domains (see
+    the concurrency contract above).  In [Strict] mode the trailer, the index and the exact
     tiling of the chunk region are validated up front; [Salvage] mode ignores
     the trailer and index entirely and rebuilds the chunk list by scanning
     forward from the header, keeping every chunk whose CRC verifies — the
@@ -80,13 +84,16 @@ val iter_tags : t -> (Event.t -> unit) array -> unit
     @raise Invalid_argument unless given exactly {!Event.n_kinds} sinks.
     @raise Format_error if a chunk fails its CRC check or is malformed. *)
 
-val crc_check : t -> int
-(** Ensure every chunk's CRC-32 has been verified, without decoding any
-    events, and return the chunk count ([0] for a v2 container, which
-    carries no checksums).  Chunks already verified this process (their
-    verified bit is set) are skipped; the rest are digested and marked.  The
-    full-file verification pass behind a manifest's [trace.crc_verify_s]
-    timing.
+val crc_check : ?lo:int -> ?hi:int -> t -> int
+(** Ensure the CRC-32 of every chunk in [\[lo, hi)] (default: all of them)
+    has been verified, without decoding any events, and return the number
+    of chunks in the range ([0] for a v2 container, which carries no
+    checksums).  Chunks already verified this process (their verified bit
+    is set) are skipped; the rest are digested and marked.  Disjoint ranges
+    touch disjoint bits, so several domains may verify disjoint ranges of
+    one reader at once.  The full-file verification pass behind a
+    manifest's [trace.crc_verify_s] timing.
+    @raise Invalid_argument unless [0 <= lo <= hi <= ]{!n_chunks}.
     @raise Format_error on the first chunk whose CRC does not match. *)
 
 val chunk_events : t -> int -> Event.t array
@@ -101,8 +108,7 @@ val chunk_events : t -> int -> Event.t array
 
 val chunk_event_count : t -> int -> int
 (** Number of events in chunk [i], straight from the chunk index — no decode,
-    no CRC.  Lets the sharded replay pipeline place event-balanced shard
-    boundaries before any chunk is touched.
+    no CRC.
     @raise Invalid_argument if the index is out of range. *)
 
 val verified_chunks : t -> int
@@ -110,6 +116,9 @@ val verified_chunks : t -> int
     verify-at-most-once contract ([= ]{!n_chunks} after {!crc_check} or a
     full iteration of a v3 trace; salvage-loaded readers are born fully
     verified). *)
+
+val verifies : t -> bool
+(** Does iteration CRC-check chunks — the [verify] given to {!load}? *)
 
 val fingerprint : t -> int64
 (** The recorded program's {!Tq_vm.Program.fingerprint} as stamped by the

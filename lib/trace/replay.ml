@@ -1,27 +1,15 @@
 (* Replay driver: sequential oracle, supervised single-pass groups, and the
-   sharded streaming pipeline behind [parallel].
+   tool-parallel replay behind [parallel].
 
-   The pipeline (see DESIGN.md §8) decodes + CRC-verifies every chunk exactly
-   once into pooled event arrays, walks the chunks in order exactly once for
-   the order-sensitive work (non-sharded tools and the shard-seed prefix
-   trackers), and fans trace ranges of sharded tools out across domains, with
-   per-range partial states merged left-to-right at the end. *)
-
-type ('state, 'seed) shard_spec = {
-  prefix_wants : Event.kind list;
-  prefix : unit -> (Event.t -> unit) * (unit -> 'seed);
-  shard : 'seed -> (Event.t -> unit) * (unit -> 'state);
-  merge : 'state -> 'state -> unit;
-  render : 'state -> string;
-}
-
-type sharded = Sharded : ('state, 'seed) shard_spec -> sharded
+   [parallel] (see DESIGN.md §8) verifies every chunk's CRC once, splits the
+   jobs into one cost-balanced group per domain, and streams the whole trace
+   through each group on its own domain over the one shared reader. *)
 
 type job = {
   name : string;
   wants : Event.kind list;
+  cost : float;
   make : unit -> (Event.t -> unit) * (unit -> string);
-  sharded : sharded option;
 }
 
 type failure = { exn : exn; backtrace : string }
@@ -31,7 +19,6 @@ type domain_timing = { domain : int; jobs : string list; wall_s : float }
 type run_stats = {
   rs_domains : int;
   rs_shards : int;
-  rs_batch : int;
   rs_chunks : int;
   rs_events : int;
   rs_decode_s : float;
@@ -41,8 +28,8 @@ type run_stats = {
   rs_peak_live_chunks : int;
 }
 
-let job ?(wants = Event.all_kinds) ?sharded name make =
-  { name; wants; make; sharded }
+let job ?(wants = Event.all_kinds) ?(cost = 1.) name make =
+  { name; wants; cost; make }
 
 let capture exn = { exn; backtrace = Printexc.get_backtrace () }
 
@@ -54,12 +41,10 @@ let failure_message f =
 let is_trace_error f =
   match f.exn with Reader.Format_error _ -> true | _ -> false
 
-let wanted_tags_of kinds =
+let wanted_tags j =
   let w = Array.make Event.n_kinds false in
-  List.iter (fun k -> w.(Event.kind_tag k) <- true) kinds;
+  List.iter (fun k -> w.(Event.kind_tag k) <- true) j.wants;
   w
-
-let wanted_tags j = wanted_tags_of j.wants
 
 (* Unrolled fan-out for the common arities: the dispatch runs once per event
    tag occurrence, and binding each sink directly beats an Array.iter per
@@ -93,8 +78,7 @@ let fuse = function
   | sinks -> fun ev -> Array.iter (fun s -> s ev) sinks
 
 (* Walk a decoded chunk through one fused-sink-per-tag dispatch table — the
-   inner loop shared by the pipeline's ordered stage and the serve layer's
-   decoded-chunk-cache pass. *)
+   inner loop of the serve layer's decoded-chunk-cache pass. *)
 let dispatch per_tag evs =
   for i = 0 to Array.length evs - 1 do
     let ev = Array.unsafe_get evs i in
@@ -190,550 +174,127 @@ let supervised ~iter jobs =
   List.mapi (fun i j -> (j.name, outs.(i))) jobs
 
 (* ------------------------------------------------------------------ *)
-(* Sharded streaming pipeline                                          *)
+(* Tool-parallel replay                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Monomorphic view of one sharded job, the existential unpacked once into
-   closures so the ['state]/['seed] types never escape.  The prefix sink and
-   [snapshot] only ever run under the ordered token (serialized, handed off
-   through the pipeline mutex); [start]'s returned sink/fin run on whichever
-   domain holds the shard item, one at a time. *)
-type shard_runner = {
-  r_prefix_sink : Event.t -> unit;
-  r_prefix_wants : bool array;
-  r_snapshot : int -> unit;  (* capture the seed for shard [k] *)
-  r_start : int -> (Event.t -> unit) * (unit -> unit);
-  r_finish : unit -> string;  (* fold-merge the shard states, render *)
-}
+(* Deterministic greedy longest-first split of [jobs] into [k] groups on the
+   jobs' cost weights: heaviest job first, each onto the currently lightest
+   group (lowest index on ties).  Within a group, jobs keep their input
+   order.  Returns the job indices of each group. *)
+let split_groups k jobs =
+  let order = Array.init (Array.length jobs) Fun.id in
+  Array.stable_sort (fun a b -> compare jobs.(b).cost jobs.(a).cost) order;
+  let load = Array.make k 0. and members = Array.make k [] in
+  Array.iter
+    (fun jx ->
+      let g = ref 0 in
+      for i = 1 to k - 1 do
+        if load.(i) < load.(!g) then g := i
+      done;
+      load.(!g) <- load.(!g) +. jobs.(jx).cost;
+      members.(!g) <- jx :: members.(!g))
+    order;
+  Array.map (fun l -> Array.of_list (List.sort compare l)) members
 
-let make_runner n_shards (Sharded spec) =
-  let psink, psnap = spec.prefix () in
-  let seeds = Array.make n_shards None in
-  let states = Array.make n_shards None in
-  let snapshot k = seeds.(k) <- Some (psnap ()) in
-  let start k =
-    let seed =
-      match seeds.(k) with Some s -> s | None -> assert false
-      (* claim waits for [ordered_pos] to pass the shard's lower boundary *)
-    in
-    let sink, fin = spec.shard seed in
-    (sink, fun () -> states.(k) <- Some (fin ()))
-  in
-  let finish () =
-    let root = match states.(0) with Some s -> s | None -> assert false in
-    for k = 1 to n_shards - 1 do
-      match states.(k) with
-      | Some s -> spec.merge root s
-      | None -> assert false
-    done;
-    spec.render root
-  in
-  {
-    r_prefix_sink = psink;
-    r_prefix_wants = wanted_tags_of spec.prefix_wants;
-    r_snapshot = snapshot;
-    r_start = start;
-    r_finish = finish;
-  }
-
-(* One trace range of one sharded job.  [i_run] holds the shard's sink/fin
-   once started, so a stalled item can be released and resumed by any
-   domain. *)
-type item = {
-  i_job : int;
-  i_shard : int;
-  i_lo : int;
-  i_hi : int;  (* chunk range [i_lo, i_hi) *)
-  mutable i_pos : int;
-  mutable i_busy : bool;
-  mutable i_done : bool;
-  mutable i_run : ((Event.t -> unit) * (unit -> unit)) option;
-}
-
-(* Event-balanced shard boundaries over the chunk index: boundary [k] is the
-   first chunk index at which the running event count reaches k/S of the
-   total.  Straight from the chunk index — no chunk is decoded. *)
-let shard_bounds reader n_chunks n_shards =
-  let total = ref 0 in
-  for i = 0 to n_chunks - 1 do
-    total := !total + Reader.chunk_event_count reader i
-  done;
-  let bounds = Array.make (n_shards + 1) n_chunks in
-  bounds.(0) <- 0;
-  let cum = ref 0 and k = ref 1 in
-  for i = 0 to n_chunks - 1 do
-    cum := !cum + Reader.chunk_event_count reader i;
-    while !k < n_shards && !cum * n_shards >= !total * !k do
-      bounds.(!k) <- i + 1;
-      incr k
-    done
-  done;
-  bounds
-
-type action =
-  | Exit
-  | Ordered of int * Event.t array
-  | Work of item * Event.t array option
-  | Decode of int
-
-let run_pipeline ~domains ~n_shards ~window reader jobs =
-  let n = Array.length jobs in
+(* Verify every chunk before [k] domains share the reader: each domain
+   digests a contiguous share of the chunks (disjoint verified bits), and
+   the failing share earliest in the trace names the error. *)
+let verify_shared reader k =
   let c = Reader.n_chunks reader in
-  let mu = Mutex.create () and cv = Condition.create () in
-  let failed = Array.make n None in
-  let alive = Array.make n true in
-  let fail_job jx e =
-    Mutex.lock mu;
-    if failed.(jx) = None then failed.(jx) <- Some (capture e);
-    alive.(jx) <- false;
-    Condition.broadcast cv;
-    Mutex.unlock mu
+  let share g () =
+    match Reader.crc_check ~lo:(g * c / k) ~hi:((g + 1) * c / k) reader with
+    | _ -> None
+    | exception e -> Some (capture e)
   in
-  let bounds = shard_bounds reader c n_shards in
-  (* Per-job setup: factories for ordered jobs, runners (prefix tracker +
-     seed/state stores) for sharded ones.  A raising factory is that job's
-     failure; its shard items still run, as refcount-draining no-ops. *)
-  let ordered_made = Array.make n None in
-  let runners = Array.make n None in
-  Array.iteri
-    (fun jx j ->
-      match j.sharded with
-      | None -> (
-          match j.make () with
-          | m -> ordered_made.(jx) <- Some m
-          | exception e ->
-              failed.(jx) <- Some (capture e);
-              alive.(jx) <- false)
-      | Some sh -> (
-          match
-            let r = make_runner n_shards sh in
-            (* seed shard 0 (trace start) and any empty leading shards now,
-               before any event flows *)
-            r.r_snapshot 0;
-            for k = 1 to n_shards - 1 do
-              if bounds.(k) = 0 then r.r_snapshot k
-            done;
-            r
-          with
-          | r -> runners.(jx) <- Some r
-          | exception e ->
-              failed.(jx) <- Some (capture e);
-              alive.(jx) <- false))
-    jobs;
-  let wants = Array.map wanted_tags jobs in
-  (* Fused ordered-stage dispatch table: non-sharded jobs' sinks plus the
-     sharded jobs' prefix trackers, each guarded so a raising tool is
-     retired without stopping the pass. *)
-  let guard jx raw_sink ev =
-    if alive.(jx) then try raw_sink ev with e -> fail_job jx e
-  in
-  let n_ordered_sinks = ref 0 in
-  let per_tag =
-    Array.init Event.n_kinds (fun tag ->
-        let sinks = ref [] in
-        for jx = n - 1 downto 0 do
-          (match ordered_made.(jx) with
-          | Some (sink, _) when wants.(jx).(tag) ->
-              incr n_ordered_sinks;
-              sinks := guard jx sink :: !sinks
-          | _ -> ());
-          match runners.(jx) with
-          | Some r when r.r_prefix_wants.(tag) ->
-              incr n_ordered_sinks;
-              sinks := guard jx r.r_prefix_sink :: !sinks
-          | _ -> ()
-        done;
-        fuse (Array.of_list !sinks))
-  in
-  let has_ordered_walk = !n_ordered_sinks > 0 in
-  let items =
-    let l = ref [] in
-    for jx = n - 1 downto 0 do
-      if jobs.(jx).sharded <> None then
-        for k = n_shards - 1 downto 0 do
-          l :=
-            {
-              i_job = jx;
-              i_shard = k;
-              i_lo = bounds.(k);
-              i_hi = bounds.(k + 1);
-              i_pos = bounds.(k);
-              i_busy = false;
-              i_done = false;
-              i_run = None;
-            }
-            :: !l
-        done
-    done;
-    Array.of_list !l
-  in
-  let n_items = Array.length items in
-  let n_sharded =
-    Array.fold_left
-      (fun acc j -> if j.sharded <> None then acc + 1 else acc)
-      0 jobs
-  in
-  (* Shared pipeline state, all under [mu].  A chunk slot holds the decoded
-     event array until every consumer — the ordered pass plus one shard item
-     per sharded job — has walked it, then is freed so live decoded chunks
-     stay bounded by the window. *)
-  let slots = Array.make c None in
-  let refcnt = Array.make c (1 + n_sharded) in
-  let next_decode = ref 0 in
-  let ordered_pos = ref 0 in
-  let ordered_busy = ref false in
-  let next_snap = ref 1 in
-  while !next_snap < n_shards && bounds.(!next_snap) = 0 do
-    incr next_snap
-  done;
-  let done_items = ref 0 in
-  let live_slots = ref 0 in
-  let peak_live = ref 0 in
-  let fatal = ref None in
-  let release_chunk i =
-    refcnt.(i) <- refcnt.(i) - 1;
-    if refcnt.(i) = 0 then begin
-      slots.(i) <- None;
-      decr live_slots
-    end
-  in
-  let min_needed () =
-    let mn = ref !ordered_pos in
-    Array.iter
-      (fun it -> if (not it.i_done) && it.i_pos < !mn then mn := it.i_pos)
-      items;
-    !mn
-  in
-  let finished () = !ordered_pos >= c && !done_items = n_items in
-  let claim_item () =
-    let found = ref None in
-    (try
-       Array.iter
-         (fun it ->
-           if (not it.i_busy) && not it.i_done then begin
-             let ready_chunk =
-               it.i_pos >= it.i_hi || slots.(it.i_pos) <> None
-             in
-             let seed_ready =
-               (* a dead job's items are pure refcount drains, no seed *)
-               (not alive.(it.i_job))
-               || bounds.(it.i_shard) = 0
-               || !ordered_pos >= bounds.(it.i_shard)
-             in
-             if ready_chunk && seed_ready then begin
-               found := Some it;
-               raise Exit
-             end
-           end)
-         items
-     with Exit -> ());
-    match !found with
-    | None -> None
-    | Some it ->
-        it.i_busy <- true;
-        let evs = if it.i_pos < it.i_hi then slots.(it.i_pos) else None in
-        Some (Work (it, evs))
-  in
-  (* per-domain stage clocks: written only by their own worker *)
-  let wall = Array.make domains 0. in
-  let decode_s = Array.make domains 0. in
-  let ordered_s = Array.make domains 0. in
-  let shard_s = Array.make domains 0. in
-  let do_ordered d i evs =
-    let t0 = Unix.gettimeofday () in
-    if has_ordered_walk then dispatch per_tag evs;
-    (* shard boundaries landing right after this chunk: snapshot every live
-       runner's prefix state before publishing the advance, so a shard can
-       only start once its seed exists.  Only the token holder touches
-       [next_snap]. *)
-    while !next_snap < n_shards && bounds.(!next_snap) = i + 1 do
-      let k = !next_snap in
-      Array.iteri
-        (fun jx r ->
-          match r with
-          | Some r when alive.(jx) -> (
-              try r.r_snapshot k with e -> fail_job jx e)
-          | _ -> ())
-        runners;
-      incr next_snap
-    done;
-    Mutex.lock mu;
-    release_chunk i;
-    ordered_pos := i + 1;
-    ordered_busy := false;
-    Condition.broadcast cv;
-    Mutex.unlock mu;
-    ordered_s.(d) <- ordered_s.(d) +. (Unix.gettimeofday () -. t0)
-  in
-  let do_work d it first =
-    let t0 = Unix.gettimeofday () in
-    let jx = it.i_job in
-    if it.i_run = None && alive.(jx) then begin
-      match runners.(jx) with
-      | Some r -> (
-          match r.r_start it.i_shard with
-          | run -> it.i_run <- Some run
-          | exception e -> fail_job jx e)
-      | None -> ()
-    end;
-    let current = ref first in
-    let stop = ref false in
-    while not !stop do
-      match !current with
-      | Some evs when it.i_pos < it.i_hi ->
-          (if alive.(jx) then
-             match it.i_run with
-             | Some (sink, _) -> (
-                 let w = wants.(jx) in
-                 try
-                   for i = 0 to Array.length evs - 1 do
-                     let ev = Array.unsafe_get evs i in
-                     if Array.unsafe_get w (Event.tag ev) then sink ev
-                   done
-                 with e -> fail_job jx e)
-             | None -> ());
-          Mutex.lock mu;
-          release_chunk it.i_pos;
-          it.i_pos <- it.i_pos + 1;
-          if it.i_pos < it.i_hi then begin
-            current := slots.(it.i_pos);
-            if !current = None then begin
-              (* next chunk not decoded yet: release the item so this domain
-                 can decode instead of blocking on it *)
-              it.i_busy <- false;
-              stop := true
-            end
-          end
-          else current := None;
-          Condition.broadcast cv;
-          Mutex.unlock mu
-      | _ ->
-          (if alive.(jx) then
-             match it.i_run with
-             | Some (_, fin) -> ( try fin () with e -> fail_job jx e)
-             | None -> ());
-          Mutex.lock mu;
-          it.i_done <- true;
-          it.i_busy <- false;
-          incr done_items;
-          Condition.broadcast cv;
-          Mutex.unlock mu;
-          stop := true
-    done;
-    shard_s.(d) <- shard_s.(d) +. (Unix.gettimeofday () -. t0)
-  in
-  let do_decode d i =
-    let t0 = Unix.gettimeofday () in
-    match Reader.chunk_events reader i with
-    | evs ->
-        Mutex.lock mu;
-        slots.(i) <- Some evs;
-        incr live_slots;
-        if !live_slots > !peak_live then peak_live := !live_slots;
-        Condition.broadcast cv;
-        Mutex.unlock mu;
-        decode_s.(d) <- decode_s.(d) +. (Unix.gettimeofday () -. t0)
-    | exception e ->
-        Mutex.lock mu;
-        if !fatal = None then fatal := Some (capture e);
-        Condition.broadcast cv;
-        Mutex.unlock mu
-  in
-  let worker d () =
-    let t0 = Unix.gettimeofday () in
-    (try
-       let rec loop () =
-         Mutex.lock mu;
-         let rec decide () =
-           if !fatal <> None || finished () then Exit
-           else if
-             (not !ordered_busy)
-             && !ordered_pos < c
-             && slots.(!ordered_pos) <> None
-           then begin
-             ordered_busy := true;
-             match slots.(!ordered_pos) with
-             | Some evs -> Ordered (!ordered_pos, evs)
-             | None -> assert false
-           end
-           else
-             match claim_item () with
-             | Some w -> w
-             | None ->
-                 if !next_decode < c && !next_decode < min_needed () + window
-                 then begin
-                   let i = !next_decode in
-                   incr next_decode;
-                   Decode i
-                 end
-                 else begin
-                   Condition.wait cv mu;
-                   decide ()
-                 end
-         in
-         let action = decide () in
-         Mutex.unlock mu;
-         match action with
-         | Exit -> ()
-         | Ordered (i, evs) ->
-             do_ordered d i evs;
-             loop ()
-         | Work (it, evs) ->
-             do_work d it evs;
-             loop ()
-         | Decode i ->
-             do_decode d i;
-             loop ()
-       in
-       loop ()
-     with e ->
-       (* backstop: no exception crosses a domain boundary un-accounted *)
-       Mutex.lock mu;
-       if !fatal = None then fatal := Some (capture e);
-       Condition.broadcast cv;
-       Mutex.unlock mu);
-    wall.(d) <- Unix.gettimeofday () -. t0
-  in
-  let spawned =
-    List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1)))
-  in
-  Fun.protect ~finally:(fun () -> List.iter Domain.join spawned) (worker 0);
-  (* assemble results in job order; merges+renders run here, after the join,
-     so partial states are safely owned by the caller again *)
-  let merge_wall = ref 0. in
-  let results =
-    match !fatal with
-    | Some f ->
-        Array.init n (fun jx ->
-            match failed.(jx) with Some f0 -> Error f0 | None -> Error f)
-    | None ->
-        Array.init n (fun jx ->
-            match failed.(jx) with
-            | Some f -> Error f
-            | None -> (
-                match runners.(jx) with
-                | Some r -> (
-                    let t0 = Unix.gettimeofday () in
-                    match r.r_finish () with
-                    | rep ->
-                        merge_wall :=
-                          !merge_wall +. (Unix.gettimeofday () -. t0);
-                        Ok rep
-                    | exception e ->
-                        merge_wall :=
-                          !merge_wall +. (Unix.gettimeofday () -. t0);
-                        Error (capture e))
-                | None -> (
-                    match ordered_made.(jx) with
-                    | Some (_, finish) -> (
-                        match finish () with
-                        | r -> Ok r
-                        | exception e -> Error (capture e))
-                    | None -> assert false)))
-  in
-  let sum a = Array.fold_left ( +. ) 0. a in
-  let stats =
-    {
-      rs_domains = domains;
-      rs_shards = n_shards;
-      rs_batch = window;
-      rs_chunks = c;
-      rs_events = Reader.n_events reader;
-      rs_decode_s = sum decode_s;
-      rs_ordered_s = sum ordered_s;
-      rs_shard_s = sum shard_s;
-      rs_merge_s = !merge_wall;
-      rs_peak_live_chunks = !peak_live;
-    }
-  in
-  let timings =
-    List.init domains (fun d ->
-        {
-          domain = d;
-          (* the pipeline shares every job across workers; list them once,
-             on the caller's row *)
-          jobs =
-            (if d = 0 then Array.to_list (Array.map (fun j -> j.name) jobs)
-             else []);
-          wall_s = wall.(d);
-        })
-  in
-  (results, stats, timings)
+  let spawned = List.init (k - 1) (fun g -> Domain.spawn (share (g + 1))) in
+  let first = share 0 () in
+  List.find_map Fun.id (first :: List.map Domain.join spawned)
 
-let parallel ?domains ?shards ?batch ?timings ?stats reader jobs_l =
+let parallel ?domains ?timings ?stats reader jobs_l =
   let jobs = Array.of_list jobs_l in
   let n = Array.length jobs in
-  if n = 0 then begin
-    Option.iter (fun report -> report []) timings;
-    []
-  end
-  else begin
-    let hw = Domain.recommended_domain_count () in
-    let c = Reader.n_chunks reader in
-    (* one shared pool for decode + analysis: never oversubscribe the
-       machine — extra domains beyond the hardware only add contention *)
-    let d =
-      match domains with Some d -> max 1 (min d hw) | None -> max 1 hw
-    in
-    let any_sharded = Array.exists (fun j -> j.sharded <> None) jobs in
-    let n_shards =
-      match shards with
-      | Some s -> max 1 (min s (max 1 c))
-      | None -> max 1 (min d (max 1 c))
-    in
-    let window = match batch with Some b -> max 1 b | None -> max 4 (2 * d) in
-    (* Single-pass fast path: nothing to pipeline (no chunks), no
-       parallelism and no sharding requested, or a singleton job that cannot
-       shard — stream the trace once through every job on this domain and
-       spawn nothing. *)
-    let single =
-      c = 0
-      || (d = 1 && (n_shards = 1 || not any_sharded))
-      || (n = 1 && not any_sharded)
-    in
-    if single then begin
+  let hw = Domain.recommended_domain_count () in
+  (* one pass per domain: never oversubscribe the machine, extra domains
+     beyond the hardware only add contention *)
+  let d = match domains with Some d -> max 1 (min d hw) | None -> max 1 hw in
+  let groups = if n = 0 then [||] else split_groups (min d n) jobs in
+  let k = Array.length groups in
+  (* Several domains share the reader: set every verified bit before they
+     start, so their passes only ever read them.  A corrupt chunk fails
+     every job here, before any tool runs. *)
+  let crc_s, crc_failure =
+    if k > 1 && Reader.verifies reader then begin
       let t0 = Unix.gettimeofday () in
-      let outs =
-        run_group_with ~iter:(fun per_tag -> Reader.iter_tags reader per_tag)
-          jobs
-      in
-      let wall_s = Unix.gettimeofday () -. t0 in
-      Option.iter
-        (fun report ->
-          report
-            [
-              {
-                domain = 0;
-                jobs = Array.to_list (Array.map (fun j -> j.name) jobs);
-                wall_s;
-              };
-            ])
-        timings;
-      Option.iter
-        (fun report ->
-          report
-            {
-              rs_domains = 1;
-              rs_shards = 1;
-              rs_batch = 0;
-              rs_chunks = c;
-              rs_events = Reader.n_events reader;
-              rs_decode_s = 0.;
-              rs_ordered_s = wall_s;
-              rs_shard_s = 0.;
-              rs_merge_s = 0.;
-              rs_peak_live_chunks = 0;
-            })
-        stats;
-      Array.to_list (Array.mapi (fun i j -> (j.name, outs.(i))) jobs)
+      let failure = verify_shared reader k in
+      (Unix.gettimeofday () -. t0, failure)
     end
-    else begin
-      let results, st, td = run_pipeline ~domains:d ~n_shards ~window reader jobs in
-      Option.iter (fun report -> report td) timings;
-      Option.iter (fun report -> report st) stats;
-      Array.to_list (Array.mapi (fun i j -> (j.name, results.(i))) jobs)
-    end
-  end
+    else (0., None)
+  in
+  let outs = Array.make k [||] in
+  let walls = Array.make k 0. in
+  (* each pass records its own dispatch failure, read after the join *)
+  let pass_failed = Array.make k None in
+  let run g () =
+    let t0 = Unix.gettimeofday () in
+    outs.(g) <-
+      run_group_with (Array.map (fun jx -> jobs.(jx)) groups.(g))
+        ~iter:(fun per_tag ->
+          try Reader.iter_tags reader per_tag
+          with e ->
+            pass_failed.(g) <- Some (capture e);
+            raise e);
+    walls.(g) <- Unix.gettimeofday () -. t0
+  in
+  (match crc_failure with
+  | Some f ->
+      Array.iteri (fun g grp -> outs.(g) <- Array.map (fun _ -> Error f) grp)
+        groups
+  | None ->
+      if k > 0 then begin
+        let spawned =
+          List.init (k - 1) (fun g -> Domain.spawn (run (g + 1)))
+        in
+        Fun.protect ~finally:(fun () -> List.iter Domain.join spawned) (run 0)
+      end);
+  (* every job sits in exactly one group, so this overwrites every slot *)
+  let results = Array.make n (Ok "") in
+  Array.iteri
+    (fun g grp -> Array.iteri (fun i jx -> results.(jx) <- outs.(g).(i)) grp)
+    groups;
+  (* an unreadable trace seen by any one pass fails every job still live *)
+  let trace_failure = Array.find_map Fun.id pass_failed in
+  Option.iter
+    (fun report ->
+      report
+        (List.init k (fun g ->
+             {
+               domain = g;
+               jobs =
+                 List.map (fun jx -> jobs.(jx).name) (Array.to_list groups.(g));
+               wall_s = walls.(g);
+             })))
+    timings;
+  Option.iter
+    (fun report ->
+      report
+        {
+          rs_domains = k;
+          rs_shards = 1;
+          rs_chunks = Reader.n_chunks reader;
+          rs_events = Reader.n_events reader;
+          rs_decode_s = crc_s;
+          rs_ordered_s = Array.fold_left ( +. ) 0. walls;
+          rs_shard_s = 0.;
+          rs_merge_s = 0.;
+          rs_peak_live_chunks = 0;
+        })
+    stats;
+  List.mapi
+    (fun jx j ->
+      match (results.(jx), trace_failure) with
+      | Ok _, Some f -> (j.name, Error f)
+      | out, _ -> (j.name, out))
+    jobs_l
 
 let check_program reader prog =
   let recorded = Reader.fingerprint reader in

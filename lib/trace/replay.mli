@@ -1,65 +1,23 @@
-(** Drive analysis tools from a recorded trace — sequentially, or through a
-    sharded streaming pipeline over OCaml 5 domains — with per-job fault
-    isolation.
+(** Drive analysis tools from a recorded trace — sequentially, or one tool
+    group per OCaml 5 domain — with per-job fault isolation.
 
     A {!job} is a named factory: it builds a fresh tool instance, returns its
     event sink and a [finish] callback producing the tool's rendered result.
-    A job may additionally carry a {!sharded} capability — a recipe for
-    splitting the tool across trace ranges whose partial states merge back
-    into the sequential result — which lets {!parallel} run a single tool on
-    several domains at once.
 
     Every job comes back as an {!outcome}: a raising tool is captured as
     that job's [Error] (exception + backtrace) instead of aborting the whole
     run, so one broken analysis cannot take down the other tools'
     byte-identical reports. *)
 
-type ('state, 'seed) shard_spec = {
-  prefix_wants : Event.kind list;
-      (** event kinds the prefix tracker consumes; [[]] if the tool needs no
-          seed (its shards start from nothing) *)
-  prefix : unit -> (Event.t -> unit) * (unit -> 'seed);
-      (** Build the prefix tracker: a sink fed every [prefix_wants] event of
-          the trace {e in order} (it runs inside the pipeline's ordered
-          stage), and a snapshot function capturing the tracker's current
-          state as a fresh, independent ['seed].  The snapshot is taken at
-          each shard boundary, so it must be callable repeatedly and cheap —
-          e.g. {!Tq_prof.Call_stack.copy} for stack-dependent tools. *)
-  shard : 'seed -> (Event.t -> unit) * (unit -> 'state);
-      (** Build one shard from the seed captured at its range's start: a sink
-          fed the range's events (filtered by the job's [wants], in order
-          within the range) and a finaliser returning the shard's partial
-          state. *)
-  merge : 'state -> 'state -> unit;
-      (** [merge earlier later] absorbs [later] (the state of the adjacent
-          {e later} trace range) into [earlier].  {!parallel} folds shard
-          states left-to-right, so after the fold the first shard's state
-          must equal what a single shard over the whole trace would have
-          produced. *)
-  render : 'state -> string;
-      (** Render the fully-merged state — must produce output byte-identical
-          to the job's plain [make]-path report. *)
-}
-(** How to run one tool as mergeable trace-range shards.  The contract
-    behind byte-identical sharded replay:
-    [render (merge s_0 s_1 ... s_k)] = the sequential report, where shard
-    [i] was built from a seed capturing the prefix tracker's state at the
-    range boundary.  Tools that cannot shard (order-sensitive state with no
-    merge, e.g. cache simulation) simply don't provide a spec and run in the
-    pipeline's ordered stage instead. *)
-
-type sharded = Sharded : ('state, 'seed) shard_spec -> sharded
-(** The spec with its state/seed types packed away, so heterogeneous tools
-    share one job list. *)
-
 type job = {
   name : string;
   wants : Event.kind list;
       (** event kinds the sink consumes; events of other kinds are never
           delivered to it *)
+  cost : float;
+      (** relative replay cost, used only to balance {!parallel}'s
+          per-domain groups *)
   make : unit -> (Event.t -> unit) * (unit -> string);
-  sharded : sharded option;
-      (** if present, {!parallel} may split this job across trace ranges *)
 }
 
 type failure = {
@@ -74,46 +32,46 @@ type outcome = (string, failure) result
 
 val job :
   ?wants:Event.kind list ->
-  ?sharded:sharded ->
+  ?cost:float ->
   string ->
   (unit -> (Event.t -> unit) * (unit -> string)) ->
   job
 (** [wants] defaults to {!Event.all_kinds}.  Narrowing it to the kinds the
     tool actually consumes (its [consume] match arms that do work) lets the
     replay driver skip the sink call for the rest; it must stay a superset
-    of the consumed kinds or the tool silently loses events.  [sharded], if
-    given, lets {!parallel} shard the job across trace ranges; the spec's
-    reports must be byte-identical to the [make] path's. *)
+    of the consumed kinds or the tool silently loses events.  [cost]
+    (default [1.]) is the job's relative replay cost — e.g. its measured
+    sink time — which {!parallel} balances its domains on; it never changes
+    a report. *)
 
 type domain_timing = {
   domain : int;  (** worker index; [0] is the caller's own domain *)
   jobs : string list;
-      (** names of the jobs the worker ran.  {!sequential} reports one entry
-          per job; the {!parallel} pipeline shares every job across its
-          workers and lists them all on domain [0]'s row. *)
-  wall_s : float;  (** wall time of the worker's whole stay in the pipeline *)
+      (** names of the jobs the worker ran: {!sequential} reports one entry
+          per job, {!parallel} one per domain listing that domain's group *)
+  wall_s : float;  (** wall time of the worker's pass over the trace *)
 }
 (** Where the replay wall time went.  The straggler's [wall_s] bounds the
     run. *)
 
 type run_stats = {
-  rs_domains : int;  (** workers actually used (caller included) *)
-  rs_shards : int;  (** trace ranges per sharded job *)
-  rs_batch : int;  (** decode window (chunks decoded ahead); [0] = unbounded
-                       single-pass mode *)
+  rs_domains : int;  (** domains actually used (caller included) *)
+  rs_shards : int;  (** always [1]: every domain streams the whole trace *)
   rs_chunks : int;
   rs_events : int;
-  rs_decode_s : float;  (** summed across domains: chunk decode + CRC *)
-  rs_ordered_s : float;  (** ordered stage: non-sharded sinks + seed prefix *)
-  rs_shard_s : float;  (** sharded tool sinks, summed across domains *)
-  rs_merge_s : float;  (** post-join shard-state merges + renders *)
-  rs_peak_live_chunks : int;
-      (** high-water mark of decoded chunks held at once — the pipeline's
-          actual queue depth, bounded by the decode window plus in-flight
-          consumers *)
+  rs_decode_s : float;
+      (** wall of the up-front CRC pass over every chunk (split across the
+          domains); [0.] when one domain ran (its pass verifies chunks as
+          it goes) or the reader does not verify *)
+  rs_ordered_s : float;  (** the per-domain pass walls, summed *)
+  rs_shard_s : float;  (** always [0.] (no range shards) *)
+  rs_merge_s : float;  (** always [0.] (no partial states to merge) *)
+  rs_peak_live_chunks : int;  (** always [0]: passes decode in place *)
 }
-(** One pipeline run's shape and per-stage cost, for the run manifest's
-    [replay] section and the bench's scaling tables. *)
+(** One {!parallel} run's shape and per-stage cost, for the run manifest's
+    [replay] section and the benches.  The constant fields stay so existing
+    readers of the record (the per-layer benchmark reads every field) keep
+    working. *)
 
 val failure_message : failure -> string
 (** One-line rendering of a failure ({!Reader.Format_error} is labelled as an
@@ -125,9 +83,8 @@ val is_trace_error : failure -> bool
 
 val dispatch : (Event.t -> unit) array -> Event.t array -> unit
 (** [dispatch per_tag evs] walks a decoded chunk, handing each event to the
-    sink at its {!Event.tag} — the inner loop of the pipeline's ordered
-    stage, exported so the serve layer's decoded-chunk-cache pass is the
-    same code. *)
+    sink at its {!Event.tag} — the serve layer's decoded-chunk-cache pass
+    feeds {!supervised} through it. *)
 
 val supervised :
   iter:((Event.t -> unit) array -> unit) ->
@@ -137,9 +94,9 @@ val supervised :
     the current domain.  [iter] receives one fused, guarded sink per event
     tag ({!Event.n_kinds} of them, indexed by {!Event.tag}) and must deliver
     every event of the trace to the sink at its tag — {!Reader.iter_tags}
-    partially applied is the canonical pass; the serve layer's
-    decoded-chunk-cache walk (built on {!dispatch}) is another.
-    Supervision matches {!parallel}: a job whose factory, sink or finish
+    partially applied is the canonical pass (and {!parallel}'s per-domain
+    one); the serve layer's decoded-chunk-cache walk (built on {!dispatch})
+    is another.  Supervision matches {!parallel}: a job whose factory, sink or finish
     raises is retired and reported as its own [Error]; an exception escaping
     [iter] itself fails every job still live.  Never raises. *)
 
@@ -149,58 +106,40 @@ val sequential :
   job list ->
   (string * outcome) list
 (** Replay the trace once per job, in order, on the current domain — the
-    oracle the sharded pipeline is checked against.  Never raises on a
+    oracle {!parallel} is checked against.  Never raises on a
     failing job or an unreadable trace — each job's result is its own
     {!outcome}.  [timings], if given, receives one {!domain_timing} per job
     (all on domain [0]) before the call returns. *)
 
 val parallel :
   ?domains:int ->
-  ?shards:int ->
-  ?batch:int ->
   ?timings:(domain_timing list -> unit) ->
   ?stats:(run_stats -> unit) ->
   Reader.t ->
   job list ->
   (string * outcome) list
-(** Replay through the sharded streaming pipeline.  Every chunk is decoded
-    and CRC-verified {e exactly once} into a pooled slot; the chunks then
-    flow through two kinds of consumers running concurrently on one shared
-    domain pool:
-
-    - the {e ordered stage} — a single token walks the chunks in trace
-      order, feeding non-sharded jobs' sinks and the sharded jobs' seed
-      prefix trackers, and snapshotting shard seeds at range boundaries;
-    - {e shard items} — each sharded job is split into [shards]
-      event-balanced chunk ranges; a range starts once its seed is
-      snapshotted and consumes its chunks as they decode, possibly far
-      ahead of the ordered token.
-
-    Decoded chunks are refcounted and freed once the ordered stage and
-    every sharded job have walked them; decode runs at most [batch] chunks
-    (default [max 4 (2*domains)]) ahead of the slowest consumer, so memory
-    stays bounded.  Results come back in job order, reports byte-identical
-    to {!sequential}.
+(** Tool-parallel replay.  The jobs split into [min domains (List.length
+    jobs)] groups by a deterministic greedy longest-first packing on their
+    [cost]; each group runs on its own domain (the first on the caller's)
+    as one {!supervised} pass over {!Reader.iter_tags}, all domains sharing
+    the one reader.  With more than one group, every chunk's CRC is
+    verified first ({!Reader.crc_check}, when the reader verifies at all),
+    after which the reader is read-only and safe to share.  Results come
+    back in job order, reports byte-identical to {!sequential}.
 
     [domains] defaults to [Domain.recommended_domain_count ()] and is
-    always capped by it — decode and analysis share the one pool, so
-    oversubscribing the machine only adds work.  [shards] defaults to the
-    domain count (capped at the chunk count); [shards > 1] with
-    [domains = 1] still runs the full pipeline on the calling domain, which
-    keeps the shard/merge path exercisable on any machine.  No domain is
-    spawned for an empty job list, a singleton non-shardable job, or a
-    [domains = 1] run without sharding — those stream the trace once on the
-    calling domain.
+    always capped by it.  One group — one domain, or one job — streams the
+    trace once on the calling domain and spawns nothing.
 
-    Supervision: a job whose factory, sink, merge or finish raises is
-    retired (its remaining shard ranges drain without work) and reported as
-    [Error]; the other jobs run to completion.  Only an unreadable trace
-    (chunk decode raising {!Reader.Format_error}) fails every job still
-    live.  No exception escapes a domain.
+    Supervision: a job whose factory, sink or finish raises is reported as
+    its own [Error]; the other jobs, in its group and elsewhere, run to
+    completion.  An unreadable trace — the CRC pass or any domain's pass
+    raising {!Reader.Format_error} — fails every job still live.  No
+    exception escapes a domain.
 
-    [timings], if given, receives one {!domain_timing} per worker;
-    [stats] receives the pipeline's {!run_stats} — both before the call
-    returns. *)
+    [timings], if given, receives one {!domain_timing} per domain (its
+    group and pass wall); [stats] receives the run's {!run_stats} — both
+    before the call returns. *)
 
 val check_program : Reader.t -> Tq_vm.Program.t -> (unit, string) result
 (** Does this trace belong to this program?  [Error] explains a fingerprint

@@ -192,7 +192,7 @@ let intern_body w ~blob ~b ~first_icount =
    offset + payload CRC, so a reference can never silently resolve to the
    wrong body) plus the per-field stride/literal tables.  The header's
    event count is the {e raw} count [B * iters], so the index — and
-   everything built on it: [n_events], seeks, shard bounds, the serve chunk
+   everything built on it: [n_events], seeks, the serve chunk
    cache — keeps speaking decoded-event units. *)
 let emit_repeat w ~body ~iters ~fields =
   flush_chunk w;

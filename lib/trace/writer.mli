@@ -25,7 +25,7 @@
     fresh {!Event.state} seeded with the chunk's [first_icount], so any chunk
     decodes without its predecessors; the index maps instruction counts to
     chunk offsets for O(log n) seeks.  Index entries always count {e raw}
-    (decoded) events, so seeks and shard bounds are version-agnostic.
+    (decoded) events, so seeks are version-agnostic.
 
     v3 (vs the v2 container, which {!Reader} still loads):
 

@@ -124,23 +124,6 @@ let iter f t =
       done)
     idxs
 
-let union dst src =
-  Hashtbl.iter
-    (fun idx src_page ->
-      let dst_page = page_of dst idx in
-      for w = 0 to words_per_page - 1 do
-        let sw = Array.unsafe_get src_page w in
-        if sw <> 0 then begin
-          let old = Array.unsafe_get dst_page w in
-          let nw = old lor sw in
-          if nw <> old then begin
-            dst.count <- dst.count + popcount32 (nw lxor old);
-            Array.unsafe_set dst_page w nw
-          end
-        end
-      done)
-    src.pages
-
 let page_count t = Hashtbl.length t.pages
 
 let clear t =

@@ -23,11 +23,6 @@ val cardinal : t -> int
 val iter : (int -> unit) -> t -> unit
 (** Iterate members in ascending order. *)
 
-val union : t -> t -> unit
-(** [union dst src] adds every member of [src] to [dst] ([src] unchanged).
-    Word-at-a-time with an incremental cardinality update — the merge
-    primitive for sharded tool states. *)
-
 val page_count : t -> int
 (** Number of allocated pages (for memory accounting / tests). *)
 

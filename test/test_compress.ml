@@ -2,7 +2,7 @@
    byte-identical event stream (and therefore byte-identical reports) while
    actually shrinking loop-dominated recordings.  These tests pin the whole
    contract: stream identity on wfs and on random MiniC programs, report
-   identity through sequential / sharded / salvage replay, the wire format
+   identity through sequential / parallel / salvage replay, the wire format
    itself via a hand-assembled golden v4 fixture, and the reader's
    raw-vs-stored accounting. *)
 
@@ -112,13 +112,13 @@ let test_compressed_seek () =
         (tail rp = tail rc))
     [ 0; 1; last / 3; last / 2; last - 1; last; last + 1 ]
 
-(* ---------- report identity: live vs sequential vs sharded ----------
+(* ---------- report identity: live vs sequential vs parallel ----------
 
    The jobs, renderers and outcome comparator are [Test_trace]'s own — the
    exact full-state render functions the replay-equivalence tests use, so
    string equality here is full-tool-state equality. *)
 
-let replay_jobs = Test_trace.sharded_jobs
+let replay_jobs = Test_trace.replay_jobs
 let outcomes_equal = Test_trace.outcomes_equal
 
 let test_report_identity () =
@@ -133,10 +133,12 @@ let test_report_identity () =
   in
   let rc () = Reader.of_string compressed in
   check "sequential" (Replay.sequential (rc ()) (replay_jobs prog));
-  check "sharded x1"
-    (Replay.parallel ~domains:1 ~shards:1 (rc ()) (replay_jobs prog));
-  check "sharded x4"
-    (Replay.parallel ~domains:2 ~shards:4 (rc ()) (replay_jobs prog))
+  List.iter
+    (fun domains ->
+      check
+        (Printf.sprintf "parallel x%d" domains)
+        (Replay.parallel ~domains (rc ()) (replay_jobs prog)))
+    [ 1; 2; 16 ]
 
 (* ---------- round-trip property on arbitrary event streams ---------- *)
 
@@ -238,13 +240,14 @@ let qcheck_minic_record_identity =
 
 let qcheck_v4_salvage_identity =
   QCheck.Test.make
-    ~name:"sharded = sequential under salvage of a corrupted v4 trace"
+    ~name:"parallel = sequential under salvage of a corrupted v4 trace"
     ~count:25
-    QCheck.(int_bound 100_000)
-    (fun seed ->
+    QCheck.(pair (int_bound 100_000) Test_trace.arb_parallel_shape)
+    (fun (seed, (_, domains, tools)) ->
       let prog, _, compressed = Lazy.force wfs_recording in
       let mutation = Tq_faultgen.Faultgen.random ~seed compressed in
       let mutated = Tq_faultgen.Faultgen.apply mutation compressed in
+      let jobs = Test_trace.jobs_named prog tools in
       match Reader.of_string ~mode:Reader.Salvage mutated with
       | exception Reader.Format_error _ -> (
           (* both paths must refuse identically *)
@@ -253,9 +256,8 @@ let qcheck_v4_salvage_identity =
           | _ -> false)
       | r1 ->
           let r2 = Reader.of_string ~mode:Reader.Salvage mutated in
-          outcomes_equal
-            (Replay.sequential r1 (replay_jobs prog))
-            (Replay.parallel ~domains:2 ~shards:3 r2 (replay_jobs prog)))
+          outcomes_equal (Replay.sequential r1 jobs)
+            (Replay.parallel ~domains r2 jobs))
 
 (* Walk the chunk region with the self-delimiting headers and return the
    payload span (start, end) of the first chunk of [want]ed kind — the
@@ -524,7 +526,7 @@ let suites =
           test_reader_stats;
         Alcotest.test_case "seek agrees with uncompressed" `Quick
           test_compressed_seek;
-        Alcotest.test_case "reports byte-identical (seq + sharded)" `Quick
+        Alcotest.test_case "reports byte-identical (seq + parallel)" `Quick
           test_report_identity;
         QCheck_alcotest.to_alcotest qcheck_compress_roundtrip;
         Alcotest.test_case "affine loop commits repeat chunks" `Quick

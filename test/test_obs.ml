@@ -211,6 +211,15 @@ let sample_manifest () =
         ( "replay",
           Json.Obj
             [ ("domains", Json.Int 2);
+              ( "groups",
+                Json.List
+                  [ Json.List [ Json.Str "tquad" ];
+                    Json.List [ Json.Str "quad"; Json.Str "cache" ] ] );
+              ("chunks", Json.Int 4);
+              ("events", Json.Int 9);
+              ( "stage_s",
+                Json.Obj [ ("crc", Json.Float 0.25); ("passes", Json.Float 1.5) ]
+              );
               ( "timings",
                 Json.List
                   [ Json.Obj
@@ -270,6 +279,12 @@ let test_manifest_validate_negative () =
   invalid (with_member "trace" (Json.Obj [ ("events", Json.Str "many") ]));
   invalid
     (with_member "replay" (Json.Obj [ ("timings", Json.List [ Json.Obj [] ]) ]));
+  invalid
+    (with_member "replay"
+       (Json.Obj [ ("groups", Json.List [ Json.Str "tquad" ]) ]));
+  invalid
+    (with_member "replay"
+       (Json.Obj [ ("stage_s", Json.Obj [ ("crc", Json.Str "fast") ]) ]));
   (* unknown sections and unknown members of known sections are allowed *)
   match
     Manifest.validate
@@ -341,7 +356,19 @@ let test_crc_check () =
       Alcotest.(check int) "checks every chunk" (Reader.n_chunks r)
         (Reader.crc_check r);
       Alcotest.(check bool) "several chunks present" true
-        (Reader.n_chunks r > 1))
+        (Reader.n_chunks r > 1);
+      (* disjoint ranges, as parallel replay splits them across domains *)
+      let n = Reader.n_chunks r and r2 = Reader.load path in
+      let mid = n / 2 in
+      Alcotest.(check int) "first half" mid (Reader.crc_check ~hi:mid r2);
+      Alcotest.(check bool) "the second half not yet all verified" true
+        (Reader.verified_chunks r2 < n);
+      Alcotest.(check int) "second half" (n - mid)
+        (Reader.crc_check ~lo:mid r2);
+      Alcotest.(check int) "now all verified" n (Reader.verified_chunks r2);
+      Alcotest.check_raises "range past the end"
+        (Invalid_argument "Trace.Reader.crc_check: chunk range out of bounds")
+        (fun () -> ignore (Reader.crc_check ~lo:1 ~hi:(n + 1) r2)))
 
 let test_crc_check_corrupt () =
   let path = Filename.temp_file "tq_obs" ".trc" in
@@ -416,6 +443,11 @@ let test_parallel_timings () =
       in
       Alcotest.(check (list string)) "every job appears in exactly one group"
         [ "a"; "b"; "c" ] covered;
+      Alcotest.(check bool) "each domain lists its own non-empty group" true
+        (List.for_all (fun (t : Replay.domain_timing) -> t.jobs <> []) !timings);
+      Alcotest.(check (list int)) "one row per domain used"
+        (List.init (min 2 (Domain.recommended_domain_count ())) Fun.id)
+        (List.map (fun (t : Replay.domain_timing) -> t.domain) !timings);
       List.iter
         (fun (t : Replay.domain_timing) ->
           Alcotest.(check bool) "wall time non-negative" true (t.wall_s >= 0.))

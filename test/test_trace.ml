@@ -332,14 +332,14 @@ let test_supervised_replay () =
       (* even with every job sharing one domain's decode pass *)
       check (Replay.parallel ~domains:1 reader jobs))
 
-(* ---------- sharded replay property ---------- *)
+(* ---------- parallel replay properties ---------- *)
 
-(* The sharded pipeline's whole contract is byte-identity with
-   {!Replay.sequential} no matter where chunk boundaries fall or how many
-   shards each tool is split into.  Exercise it with a real recording (the
+(* [Replay.parallel]'s whole contract is byte-identity with
+   {!Replay.sequential} no matter where chunk boundaries fall, how many
+   domains run, or which tools are asked for in which order (together they
+   decide how the tool groups fall).  Exercise it with a real recording (the
    tools need a coherent program, stack discipline and address layout, which
-   [gen_events] cannot provide) re-encoded under a randomized chunk size, so
-   every iteration puts the shard/seed boundaries at different events. *)
+   [gen_events] cannot provide) re-encoded under a randomized chunk size. *)
 
 let micro_scen = { Tq_wfs.Scenario.tiny with speakers = 2; chunks = 2 }
 
@@ -363,50 +363,6 @@ let micro_recording =
          Reader.iter r (fun ev -> out := ev :: !out);
          (prog, List.rev !out)))
 
-(* [replay_jobs] plus each tool's shard capability — the same render
-   functions on both paths, so string equality is full-state equality.
-   cache stays order-sensitive (replacement state has no merge) and rides
-   the pipeline's ordered stage. *)
-let sharded_jobs prog =
-  let symtab = prog.Program.symtab in
-  [
-    Replay.job ~wants:Tq_tquad.Tquad.interest
-      ~sharded:
-        (Tq_tquad.Tquad.sharded ~slice_interval:slice symtab
-           ~render:render_tquad)
-      "tquad"
-      (fun () ->
-        let t = Tq_tquad.Tquad.create ~slice_interval:slice symtab in
-        (Tq_tquad.Tquad.consume t, fun () -> render_tquad t));
-    Replay.job ~wants:Tq_quad.Quad.interest
-      ~sharded:(Tq_quad.Quad.sharded symtab ~render:render_quad)
-      "quad"
-      (fun () ->
-        let q = Tq_quad.Quad.create symtab in
-        (Tq_quad.Quad.consume q, fun () -> render_quad q));
-    Replay.job ~wants:Tq_gprofsim.Gprofsim.interest
-      ~sharded:(Tq_gprofsim.Gprofsim.sharded ~period symtab ~render:render_gprof)
-      "gprof"
-      (fun () ->
-        let g = Tq_gprofsim.Gprofsim.create ~period symtab in
-        (Tq_gprofsim.Gprofsim.consume g, fun () -> render_gprof g));
-    Replay.job ~wants:Tq_prof.Ins_mix.interest
-      ~sharded:(Tq_prof.Ins_mix.sharded prog ~render:Tq_prof.Ins_mix.render)
-      "mix"
-      (fun () ->
-        let mix = Tq_prof.Ins_mix.create prog in
-        (Tq_prof.Ins_mix.consume mix, fun () -> Tq_prof.Ins_mix.render mix));
-    Replay.job ~wants:Tq_prof.Cache_sim.interest "cache" (fun () ->
-        let c = Tq_prof.Cache_sim.create symtab in
-        (Tq_prof.Cache_sim.consume c, fun () -> Tq_prof.Cache_sim.render c));
-    Replay.job ~wants:Tq_prof.Footprint.interest
-      ~sharded:(Tq_prof.Footprint.sharded prog ~render:Tq_prof.Footprint.render)
-      "footprint"
-      (fun () ->
-        let f = Tq_prof.Footprint.create prog in
-        (Tq_prof.Footprint.consume f, fun () -> Tq_prof.Footprint.render f));
-  ]
-
 (* Outcome lists match when every job agrees by name and payload; failures
    compare by message (backtraces are environment-dependent). *)
 let outcomes_equal a b =
@@ -422,59 +378,71 @@ let outcomes_equal a b =
          | _ -> false)
        a b
 
-let reencode ~chunk_bytes evs =
-  let path = Filename.temp_file "tq_shard" ".trc" in
+let reencode ?(compress = false) ~chunk_bytes evs =
+  let path = Filename.temp_file "tq_par" ".trc" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Writer.with_file ~chunk_bytes path (fun w ->
+      Writer.with_file ~compress ~chunk_bytes path (fun w ->
           List.iter (Writer.emit w) evs);
       In_channel.with_open_bin path In_channel.input_all)
 
-let gen_pipeline_shape =
+let tool_names = [ "tquad"; "quad"; "gprof"; "mix"; "cache"; "footprint" ]
+
+(* [replay_jobs] restricted to [names], in that order *)
+let jobs_named prog names =
+  let all = replay_jobs prog in
+  List.map (fun n -> List.find (fun j -> j.Replay.name = n) all) names
+
+let gen_parallel_shape =
   QCheck.Gen.(
-    quad
+    triple
       (int_range 256 4096) (* chunk_bytes: boundaries land anywhere *)
-      (int_range 1 8) (* shards *)
-      (int_range 1 3) (* domains (capped by the machine) *)
-      (int_range 1 6) (* batch: decode window *))
+      (int_range 1 4) (* domains (capped by the machine) *)
+      (* a random non-empty subset of the tools, in random order *)
+      ( shuffle_l tool_names >>= fun l ->
+        map (fun k -> List.filteri (fun i _ -> i < k) l) (int_range 1 6) ))
 
-let arb_pipeline_shape =
+let arb_parallel_shape =
   QCheck.make
-    ~print:(fun (cb, s, d, b) ->
-      Printf.sprintf "chunk_bytes=%d shards=%d domains=%d batch=%d" cb s d b)
-    gen_pipeline_shape
+    ~print:(fun (cb, d, tools) ->
+      Printf.sprintf "chunk_bytes=%d domains=%d tools=[%s]" cb d
+        (String.concat "; " tools))
+    gen_parallel_shape
 
-let qcheck_sharded_identity =
+let qcheck_parallel_identity =
   QCheck.Test.make
-    ~name:"sharded replay = sequential for every tool (random chunks/shards)"
-    ~count:12 arb_pipeline_shape
-    (fun (chunk_bytes, shards, domains, batch) ->
+    ~name:
+      "parallel replay = sequential on v3 and v4 (random chunks/domains/tools)"
+    ~count:12 arb_parallel_shape
+    (fun (chunk_bytes, domains, tools) ->
       let prog, evs = Lazy.force micro_recording in
-      let raw = reencode ~chunk_bytes evs in
-      let jobs = sharded_jobs prog in
-      let seq = Replay.sequential (Reader.of_string raw) jobs in
-      let par =
-        Replay.parallel ~domains ~shards ~batch (Reader.of_string raw) jobs
-      in
-      List.for_all (fun (_, o) -> Result.is_ok o) seq
-      && outcomes_equal seq par)
+      let jobs = jobs_named prog tools in
+      List.for_all
+        (fun compress ->
+          let raw = reencode ~compress ~chunk_bytes evs in
+          let seq = Replay.sequential (Reader.of_string raw) jobs in
+          List.for_all (fun (_, o) -> Result.is_ok o) seq
+          && outcomes_equal seq
+               (Replay.parallel ~domains (Reader.of_string raw) jobs))
+        [ false; true ])
 
-(* Same identity under salvage: corrupt the container, load what survives,
-   and the pipeline must still agree with the sequential walk of the same
-   salvaged reader.  A mutation that defeats salvage entirely must do so on
-   both paths ([of_string] raises before any replay starts). *)
-let qcheck_sharded_salvage_identity =
+(* Same identity under salvage: corrupt the container (v3 or v4), load what
+   survives, and the parallel run must still agree with the sequential walk
+   of the same salvaged reader.  A mutation that defeats salvage entirely
+   must do so on both paths ([of_string] raises before any replay
+   starts). *)
+let qcheck_parallel_salvage_identity =
   QCheck.Test.make
-    ~name:"sharded replay = sequential under salvage of a corrupted trace"
+    ~name:"parallel replay = sequential under salvage of a corrupted trace"
     ~count:16
-    (QCheck.pair arb_pipeline_shape QCheck.(int_bound 10_000))
-    (fun ((chunk_bytes, shards, domains, batch), seed) ->
+    (QCheck.triple arb_parallel_shape QCheck.bool QCheck.(int_bound 10_000))
+    (fun ((chunk_bytes, domains, tools), compress, seed) ->
       let prog, evs = Lazy.force micro_recording in
-      let raw = reencode ~chunk_bytes evs in
+      let raw = reencode ~compress ~chunk_bytes evs in
       let mutation = Tq_faultgen.Faultgen.random ~seed raw in
       let mutated = Tq_faultgen.Faultgen.apply mutation raw in
-      let jobs = sharded_jobs prog in
+      let jobs = jobs_named prog tools in
       match Reader.of_string ~mode:Reader.Salvage mutated with
       | exception Reader.Format_error _ -> (
           match Reader.of_string ~mode:Reader.Salvage mutated with
@@ -483,7 +451,80 @@ let qcheck_sharded_salvage_identity =
       | r1 ->
           let r2 = Reader.of_string ~mode:Reader.Salvage mutated in
           outcomes_equal (Replay.sequential r1 jobs)
-            (Replay.parallel ~domains ~shards ~batch r2 jobs))
+            (Replay.parallel ~domains r2 jobs))
+
+(* The reader's concurrency contract: once every chunk is verified, two
+   domains iterating the same reader at once each see the exact stream. *)
+let test_shared_reader_two_domains () =
+  let _, evs = Lazy.force micro_recording in
+  List.iter
+    (fun compress ->
+      let r = Reader.of_string (reencode ~compress ~chunk_bytes:512 evs) in
+      ignore (Reader.crc_check r : int);
+      let walk () =
+        let out = ref [] in
+        Reader.iter_tags r
+          (Array.make Event.n_kinds (fun ev -> out := ev :: !out));
+        List.rev !out
+      in
+      let other = Domain.spawn walk in
+      let mine = walk () in
+      let theirs = Domain.join other in
+      let what = if compress then "v4" else "v3" in
+      Alcotest.(check bool) (what ^ ": caller's walk = oracle") true
+        (mine = evs);
+      Alcotest.(check bool) (what ^ ": spawned walk = oracle") true
+        (theirs = evs);
+      Alcotest.(check int) (what ^ ": still fully verified") (Reader.n_chunks r)
+        (Reader.verified_chunks r))
+    [ false; true ]
+
+(* A tool that raises in one domain's group fails only its own job: every
+   other report, in its group and in the other domain's, matches the clean
+   run.  The sabotage mirrors the CLI's --fail-tool: same name, wants and
+   cost, a sink that raises on its first event. *)
+let test_parallel_fail_tool () =
+  let prog, evs = Lazy.force micro_recording in
+  let raw = reencode ~chunk_bytes:1024 evs in
+  let clean = Replay.sequential (Reader.of_string raw) (replay_jobs prog) in
+  List.iter
+    (fun victim ->
+      let jobs =
+        List.map
+          (fun (j : Replay.job) ->
+            if j.name <> victim then j
+            else
+              Replay.job ~wants:j.wants ~cost:j.cost j.name (fun () ->
+                  let _sink, finish = j.make () in
+                  ((fun _ -> failwith "deliberate failure"), finish)))
+          (replay_jobs prog)
+      in
+      let groups = ref [] in
+      let results =
+        Replay.parallel ~domains:2
+          ~timings:(fun ts ->
+            groups := List.map (fun (t : Replay.domain_timing) -> t.jobs) ts)
+          (Reader.of_string raw) jobs
+      in
+      if Domain.recommended_domain_count () >= 2 then
+        Alcotest.(check int) "two tool groups" 2 (List.length !groups);
+      List.iter2
+        (fun (name, want) (name', got) ->
+          Alcotest.(check string) "job order kept" name name';
+          match got with
+          | Error f when name = victim ->
+              Alcotest.(check bool) "victim fails with its own exception" false
+                (Replay.is_trace_error f)
+          | Error f ->
+              Alcotest.failf "%s failed alongside %s: %s" name victim
+                (Replay.failure_message f)
+          | Ok _ when name = victim -> Alcotest.failf "%s did not fail" victim
+          | Ok r ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s unchanged with %s failing" name victim)
+                (report name want) r)
+        clean results)
+    [ "quad"; "cache" ]
 
 (* ---------- crash safety of the writer ---------- *)
 
@@ -667,8 +708,12 @@ let suites =
           test_replay_equivalence;
         Alcotest.test_case "supervised replay isolates a raising tool" `Quick
           test_supervised_replay;
-        QCheck_alcotest.to_alcotest qcheck_sharded_identity;
-        QCheck_alcotest.to_alcotest qcheck_sharded_salvage_identity;
+        QCheck_alcotest.to_alcotest qcheck_parallel_identity;
+        QCheck_alcotest.to_alcotest qcheck_parallel_salvage_identity;
+        Alcotest.test_case "two domains share one verified reader" `Quick
+          test_shared_reader_two_domains;
+        Alcotest.test_case "parallel: a failing tool fails only its job" `Quick
+          test_parallel_fail_tool;
         Alcotest.test_case "writer streams to .tmp, renames on close" `Quick
           test_writer_atomic_rename;
         QCheck_alcotest.to_alcotest qcheck_v2_backcompat;
