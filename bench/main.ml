@@ -858,8 +858,8 @@ let replay_bench () =
                    ("efficiency", jfloat (speedup /. float_of_int domains));
                    ("speedup_vs_sequential", jfloat (seq_dt /. dt)) ])
              domain_table) );
-      ("tquad_identical", jstr (string_of_bool (identical "tquad" live_tquad)));
-      ("quad_identical", jstr (string_of_bool (identical "quad" live_quad)));
+      ("tquad_identical", jbool (identical "tquad" live_tquad));
+      ("quad_identical", jbool (identical "quad" live_quad));
       ("all_identical", jbool all_identical);
       ("job_failures", jint failures);
       ("compress_record_s", jfloat crecord_dt);

@@ -77,14 +77,33 @@ let metrics_arg =
 let obs_engine_sections eng m =
   if Obs.Span.is_enabled !obs then begin
   let s = Engine.stats eng in
+  (* the live pipeline of the engine's probe, when a tool was attached *)
+  let pipeline =
+    match Tq_trace.Probe.pipeline eng with
+    | None -> []
+    | Some p ->
+        [ ( "pipeline",
+            Obs.Json.Obj
+              [ ( "groups",
+                  Obs.Json.List
+                    (List.map
+                       (fun g ->
+                         Obs.Json.List (List.map (fun n -> Obs.Json.Str n) g))
+                       p.Tq_trace.Probe.groups) );
+                ("batches", Obs.Json.Int p.batches);
+                ("consumer_domains", Obs.Json.Int p.consumer_domains);
+                ("stall_s", Obs.Json.Float p.stall_s);
+                ("idle_s", Obs.Json.Float p.idle_s) ] ) ]
+  in
   obs_section "engine"
     (Obs.Json.Obj
-       [ ("compiled_traces", Obs.Json.Int s.Engine.compiled_traces);
-         ("compiled_instructions", Obs.Json.Int s.Engine.compiled_instructions);
-         ("lookups", Obs.Json.Int s.Engine.lookups);
-         ("misses", Obs.Json.Int s.Engine.misses);
-         ("chain_hits", Obs.Json.Int s.Engine.chain_hits);
-         ("closure_instructions", Obs.Json.Int s.Engine.closure_instructions) ]);
+       ([ ("compiled_traces", Obs.Json.Int s.Engine.compiled_traces);
+          ("compiled_instructions", Obs.Json.Int s.Engine.compiled_instructions);
+          ("lookups", Obs.Json.Int s.Engine.lookups);
+          ("misses", Obs.Json.Int s.Engine.misses);
+          ("chain_hits", Obs.Json.Int s.Engine.chain_hits);
+          ("closure_instructions", Obs.Json.Int s.Engine.closure_instructions) ]
+       @ pipeline));
   let mem = Machine.mem m in
   let c = Tq_vm.Memory.cache_stats mem in
   obs_section "memory"

@@ -50,6 +50,9 @@ type stats = {
   closure_instructions : int;
 }
 
+(* One tool's per-engine state, keyed by the tool's own type witness. *)
+type local = Local : 'a Type.Id.t * 'a -> local
+
 type t = {
   m : Machine.t;
   use_code_cache : bool;
@@ -57,6 +60,8 @@ type t = {
   mutable ins_instrumenters : (Ins_view.view -> action list) list; (* reversed *)
   mutable rtn_instrumenters : (Symtab.routine -> action list) list;
   mutable trace_instrumenters : (id:int -> addr:int -> n:int -> action list) list;
+  mutable finis : (unit -> unit) list; (* reversed *)
+  mutable locals : local list;
   mutable running : bool;
   mutable n_traces : int;
   mutable n_compiled_ins : int;
@@ -74,6 +79,8 @@ let create ?(use_code_cache = true) m =
     ins_instrumenters = [];
     rtn_instrumenters = [];
     trace_instrumenters = [];
+    finis = [];
+    locals = [];
     running = false;
     n_traces = 0;
     n_compiled_ins = 0;
@@ -96,6 +103,22 @@ let add_rtn_instrumenter t f =
 let add_trace_instrumenter t f =
   if t.running then invalid_arg "Engine: cannot add instrumenter while running";
   t.trace_instrumenters <- f :: t.trace_instrumenters
+
+let add_fini t f =
+  if t.running then invalid_arg "Engine: cannot add a fini function while running";
+  t.finis <- f :: t.finis
+
+let local (type a) t (key : a Type.Id.t) : a option =
+  let rec find : local list -> a option = function
+    | [] -> None
+    | Local (k, v) :: rest -> (
+        match Type.Id.provably_equal key k with
+        | Some Type.Equal -> Some v
+        | None -> find rest)
+  in
+  find t.locals
+
+let set_local t key v = t.locals <- Local (key, v) :: t.locals
 
 let predicated t v a =
   match Tq_isa.Isa.predicate_of (Ins_view.ins v) with
@@ -277,14 +300,31 @@ let run_reference t fuel =
     done
   done
 
+(* Finis run in registration order whether the run returned or raised; the
+   first exception a fini raises replaces the run's own. *)
 let run ?(fuel = 2_000_000_000) t =
   t.running <- true;
-  (try
-     if t.use_code_cache then run_cached t fuel else run_reference t fuel
-   with e ->
-     t.running <- false;
-     raise e);
-  t.running <- false
+  let run_failed =
+    match
+      if t.use_code_cache then run_cached t fuel else run_reference t fuel
+    with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  t.running <- false;
+  let fini_failed =
+    List.fold_left
+      (fun first fini ->
+        match fini () with
+        | () -> first
+        | exception e when Option.is_none first ->
+            Some (e, Printexc.get_raw_backtrace ())
+        | exception _ -> first)
+      None (List.rev t.finis)
+  in
+  match (fini_failed, run_failed) with
+  | Some (e, bt), _ | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None, None -> ()
 
 let stats t =
   {

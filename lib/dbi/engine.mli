@@ -86,9 +86,26 @@ val predicated : t -> Ins_view.view -> action -> action
 (** [predicated t v a] is [a] guarded by [v]'s predicate register (no-op
     wrapper for non-predicated instructions). *)
 
+val add_fini : t -> (unit -> unit) -> unit
+(** Register a fini function, Pin's [PIN_AddFiniFunction] analogue.  Every
+    fini runs, in registration order, each time {!run} ends — when it
+    returns and when it raises, before the exception propagates.  A fini
+    that raises replaces the run's own exception (the first raising fini
+    wins; the rest still run); a fini that returns leaves the run's outcome
+    as it was.  Must be called before [run]. *)
+
+val local : t -> 'a Type.Id.t -> 'a option
+(** The engine's value for [key], if {!set_local} gave it one: per-engine
+    tool state, such as the one event probe every attached profiler shares
+    ({!Tq_trace.Probe}). *)
+
+val set_local : t -> 'a Type.Id.t -> 'a -> unit
+(** Bind [key] to a value on this engine, shadowing any earlier binding. *)
+
 val run : ?fuel:int -> t -> unit
-(** Execute until halt. @raise Tq_vm.Executor.Out_of_fuel when the budget
-    (default 2e9) is exhausted. *)
+(** Execute until halt, then run the fini functions ({!add_fini}).
+    @raise Tq_vm.Executor.Out_of_fuel when the budget (default 2e9) is
+    exhausted. *)
 
 type stats = {
   compiled_traces : int;

@@ -77,11 +77,13 @@ let consume t (ev : Event.t) =
 
 let interest = Event.[ KRtn_entry; KRet; KBlock_exec ]
 
+let cost = 0.05
+
 let attach ?period ?clock_hz engine =
   let machine = Engine.machine engine in
   let symtab = (Machine.program machine).Tq_vm.Program.symtab in
   let t = create ?period ?clock_hz symtab in
-  Tq_trace.Probe.attach engine (consume t);
+  Tq_trace.Probe.attach ~name:"gprof" ~wants:interest ~cost engine (consume t);
   t
 
 (* ---------- flat profile with gprof time propagation ---------- *)

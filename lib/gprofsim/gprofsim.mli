@@ -35,6 +35,11 @@ val interest : Tq_trace.Event.kind list
 (** Event kinds {!consume} does work on — pass as [?wants] to
     {!Tq_trace.Replay.job} so replay skips the rest. *)
 
+val cost : float
+(** {!consume}'s measured cost on wfs default, in seconds (its replay sink
+    time): the weight {!Tq_trace.Replay.parallel} and the live
+    {!Tq_trace.Probe} balance their tool groups on. *)
+
 val consume : t -> Tq_trace.Event.t -> unit
 (** Process one event.  Samples are derived from [Block_exec] events (the
     recorded block's address and instruction count reconstruct each pc),

@@ -100,6 +100,29 @@ let check_int_section name v =
     (fun (k, x) -> ignore (as_int (Printf.sprintf "%s.%s" name k) x))
     (as_obj name v)
 
+(* engine: int counters, plus the live probe's [pipeline] object *)
+let check_engine v =
+  List.iter
+    (fun (k, x) ->
+      let path = "engine." ^ k in
+      match k with
+      | "pipeline" ->
+          List.iter
+            (fun (k2, y) ->
+              let path = path ^ "." ^ k2 in
+              match k2 with
+              | "groups" ->
+                  List.iteri
+                    (fun i g ->
+                      let path = Printf.sprintf "%s[%d]" path i in
+                      List.iter (fun n -> ignore (as_str path n)) (as_list path g))
+                    (as_list path y)
+              | "stall_s" | "idle_s" -> ignore (as_num path y)
+              | _ -> ignore (as_int path y))
+            (as_obj path x)
+      | _ -> ignore (as_int path x))
+    (as_obj "engine" v)
+
 let check_trace v =
   List.iter
     (fun (k, x) ->
@@ -218,7 +241,8 @@ let validate doc =
     List.iter
       (fun (k, v) ->
         match k with
-        | "engine" | "memory" -> check_int_section k v
+        | "engine" -> check_engine v
+        | "memory" -> check_int_section k v
         | "trace" -> check_trace v
         | "replay" -> check_replay v
         | "server" -> check_server v

@@ -155,11 +155,13 @@ let consume t (ev : Event.t) =
 let interest =
   Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy; KPrefetch ]
 
+let cost = 0.31
+
 let attach ?config ?policy engine =
   let machine = Engine.machine engine in
   let symtab = (Machine.program machine).Tq_vm.Program.symtab in
   let t = create ?config ?policy symtab in
-  Tq_trace.Probe.attach engine (consume t);
+  Tq_trace.Probe.attach ~name:"cache" ~wants:interest ~cost engine (consume t);
   t
 
 type krow = {

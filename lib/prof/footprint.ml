@@ -48,10 +48,12 @@ let consume t (ev : Event.t) =
 let interest =
   Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
 
+let cost = 0.54
+
 let attach ?policy engine =
   let machine = Engine.machine engine in
   let t = create ?policy (Machine.program machine) in
-  Tq_trace.Probe.attach engine (consume t);
+  Tq_trace.Probe.attach ~name:"footprint" ~wants:interest ~cost engine (consume t);
   t
 
 type region_stats = { unique_bytes : int; pages : int; lo : int; hi : int }

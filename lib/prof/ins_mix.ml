@@ -119,6 +119,8 @@ let consume t (ev : Event.t) =
 
 let interest = Event.[ KBlock_exec ]
 
+let cost = 0.05
+
 (* Fold every block summary (weighted by its execution count) into overall
    and per-kernel category totals. *)
 let snapshot t =
@@ -152,7 +154,7 @@ let snapshot t =
 let attach engine =
   let machine = Engine.machine engine in
   let t = create (Tq_vm.Machine.program machine) in
-  Tq_trace.Probe.attach engine (consume t);
+  Tq_trace.Probe.attach ~name:"mix" ~wants:interest ~cost engine (consume t);
   t
 
 let total t c =

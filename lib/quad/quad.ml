@@ -184,11 +184,13 @@ let consume t (ev : Event.t) =
 let interest =
   Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
 
+let cost = 1.31
+
 let attach ?policy engine =
   let machine = Engine.machine engine in
   let symtab = (Machine.program machine).Tq_vm.Program.symtab in
   let t = create ?policy symtab in
-  Tq_trace.Probe.attach engine (consume t);
+  Tq_trace.Probe.attach ~name:"quad" ~wants:interest ~cost engine (consume t);
   t
 
 type krow = {

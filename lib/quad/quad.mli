@@ -34,6 +34,11 @@ val interest : Tq_trace.Event.kind list
 (** Event kinds {!consume} does work on — pass as [?wants] to
     {!Tq_trace.Replay.job} so replay skips the rest. *)
 
+val cost : float
+(** {!consume}'s measured cost on wfs default, in seconds (its replay sink
+    time): the weight {!Tq_trace.Replay.parallel} and the live
+    {!Tq_trace.Probe} balance their tool groups on. *)
+
 val attach :
   ?policy:Tq_prof.Call_stack.policy -> Tq_dbi.Engine.t -> t
 (** Register QUAD's instrumentation on the engine (must happen before the

@@ -113,11 +113,13 @@ let consume t (ev : Event.t) =
 let interest =
   Event.[ KRtn_entry; KRet; KLoad; KStore; KBlock_copy ]
 
+let cost = 0.53
+
 let attach ?slice_interval ?policy engine =
   let machine = Engine.machine engine in
   let symtab = (Machine.program machine).Tq_vm.Program.symtab in
   let t = create ?slice_interval ?policy symtab in
-  Tq_trace.Probe.attach engine (consume t);
+  Tq_trace.Probe.attach ~name:"tquad" ~wants:interest ~cost engine (consume t);
   t
 
 type metric = Read_incl | Read_excl | Write_incl | Write_excl

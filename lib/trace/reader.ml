@@ -812,11 +812,6 @@ let chunk_events t idx =
       incr k);
   out
 
-let chunk_event_count t idx =
-  if idx < 0 || idx >= Array.length t.chunks then
-    invalid_arg "Trace.Reader.chunk_event_count: chunk index out of range";
-  t.chunks.(idx).c_events
-
 let fingerprint t = t.fingerprint
 let verifies t = t.verify
 let n_events t = t.n_events

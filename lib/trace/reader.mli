@@ -22,7 +22,7 @@
     payload CRC at load time, so a reference can never silently resolve to
     the wrong body; in [Salvage] mode a repeat chunk whose def was lost to
     corruption is dropped and counted.  All event counts exposed here
-    ({!n_events}, {!chunk_event_count}, the index) are {e raw} (decoded)
+    ({!n_events}, the index) are {e raw} (decoded)
     counts; {!stored_events} is the physically-encoded count.
 
     Fault tolerance: v3/v4 chunks carry a CRC-32 that is verified lazily, per
@@ -106,11 +106,6 @@ val chunk_events : t -> int -> Event.t array
     @raise Invalid_argument if the index is out of range.
     @raise Format_error if the chunk fails its CRC check or is malformed. *)
 
-val chunk_event_count : t -> int -> int
-(** Number of events in chunk [i], straight from the chunk index — no decode,
-    no CRC.
-    @raise Invalid_argument if the index is out of range. *)
-
 val verified_chunks : t -> int
 (** How many chunks have their verified bit set — observability for the
     verify-at-most-once contract ([= ]{!n_chunks} after {!crc_check} or a
@@ -152,7 +147,7 @@ val repeat_chunks : t -> int
 val body_chunks : t -> int
 (** v4 body-def chunks (interned loop bodies referenced by repeat chunks)
     in the container ([0] for v2/v3).  A def decodes to no events of its
-    own — {!chunk_event_count} reports [0] for it. *)
+    own: {!chunk_events} returns an empty array for it. *)
 
 val salvage_info : t -> salvage option
 (** Scan statistics; [Some] exactly when the reader was loaded in [Salvage]

@@ -177,21 +177,18 @@ let supervised ~iter jobs =
 (* Tool-parallel replay                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic greedy longest-first split of [jobs] into [k] groups on the
-   jobs' cost weights: heaviest job first, each onto the currently lightest
-   group (lowest index on ties).  Within a group, jobs keep their input
-   order.  Returns the job indices of each group. *)
-let split_groups k jobs =
-  let order = Array.init (Array.length jobs) Fun.id in
-  Array.stable_sort (fun a b -> compare jobs.(b).cost jobs.(a).cost) order;
+let split_groups ?(load0 = 0.) k costs =
+  let order = Array.init (Array.length costs) Fun.id in
+  Array.stable_sort (fun a b -> compare costs.(b) costs.(a)) order;
   let load = Array.make k 0. and members = Array.make k [] in
+  load.(0) <- load0;
   Array.iter
     (fun jx ->
       let g = ref 0 in
       for i = 1 to k - 1 do
         if load.(i) < load.(!g) then g := i
       done;
-      load.(!g) <- load.(!g) +. jobs.(jx).cost;
+      load.(!g) <- load.(!g) +. costs.(jx);
       members.(!g) <- jx :: members.(!g))
     order;
   Array.map (fun l -> Array.of_list (List.sort compare l)) members
@@ -217,7 +214,10 @@ let parallel ?domains ?timings ?stats reader jobs_l =
   (* one pass per domain: never oversubscribe the machine, extra domains
      beyond the hardware only add contention *)
   let d = match domains with Some d -> max 1 (min d hw) | None -> max 1 hw in
-  let groups = if n = 0 then [||] else split_groups (min d n) jobs in
+  let groups =
+    if n = 0 then [||]
+    else split_groups (min d n) (Array.map (fun j -> j.cost) jobs)
+  in
   let k = Array.length groups in
   (* Several domains share the reader: set every verified bit before they
      start, so their passes only ever read them.  A corrupt chunk fails

@@ -81,6 +81,10 @@ val is_trace_error : failure -> bool
 (** Did this job fail because the trace itself was unreadable
     ({!Reader.Format_error}) rather than because the tool raised? *)
 
+val fuse : (Event.t -> unit) array -> Event.t -> unit
+(** One sink calling each of the given sinks in order — the per-tag
+    fan-out of a tool group, here and in the live {!Probe}. *)
+
 val dispatch : (Event.t -> unit) array -> Event.t array -> unit
 (** [dispatch per_tag evs] walks a decoded chunk, handing each event to the
     sink at its {!Event.tag} — the serve layer's decoded-chunk-cache pass
@@ -140,6 +144,15 @@ val parallel :
     [timings], if given, receives one {!domain_timing} per domain (its
     group and pass wall); [stats] receives the run's {!run_stats} — both
     before the call returns. *)
+
+val split_groups : ?load0:float -> int -> float array -> int array array
+(** [split_groups k costs] packs the indices of [costs] into [k] groups by
+    a deterministic greedy longest-first rule: heaviest first, each onto
+    the currently lightest group (lowest index on ties).  Group [0] starts
+    at [load0] (default [0.]) — the work its domain does anyway, such as
+    the live probe's.  Within a group, indices are in increasing order.
+    {!parallel} splits its jobs with it, and so does {!Probe} its live
+    sinks. *)
 
 val check_program : Reader.t -> Tq_vm.Program.t -> (unit, string) result
 (** Does this trace belong to this program?  [Error] explains a fingerprint

@@ -245,6 +245,38 @@ let test_instrumenter_registration_frozen () =
         ]);
   Engine.run eng
 
+exception Fini_failed
+exception Analysis_failed
+
+(* Finis run in order when [run] returns and before an exception leaves
+   it; a raising fini replaces the run's outcome. *)
+let test_fini () =
+  let log = ref [] in
+  let with_finis ?(raising_fini = false) ?(raising_run = false) () =
+    let eng = Engine.create (Machine.create (program ())) in
+    log := [];
+    if raising_run then
+      Engine.add_ins_instrumenter eng (fun _ ->
+          [ (fun () -> raise Analysis_failed) ]);
+    Engine.add_fini eng (fun () -> log := "first" :: !log);
+    Engine.add_fini eng (fun () ->
+        log := "second" :: !log;
+        if raising_fini then raise Fini_failed);
+    Engine.add_fini eng (fun () -> log := "third" :: !log);
+    eng
+  in
+  let all = [ "first"; "second"; "third" ] in
+  Engine.run (with_finis ());
+  Alcotest.(check (list string)) "all finis after a normal run" all (List.rev !log);
+  Alcotest.check_raises "the run's exception propagates" Analysis_failed
+    (fun () -> Engine.run (with_finis ~raising_run:true ()));
+  Alcotest.(check (list string)) "finis ran before it left" all (List.rev !log);
+  Alcotest.check_raises "a fini's exception replaces the run's" Fini_failed
+    (fun () -> Engine.run (with_finis ~raising_run:true ~raising_fini:true ()));
+  Alcotest.(check (list string)) "later finis still ran" all (List.rev !log);
+  Alcotest.check_raises "a fini can fail a clean run" Fini_failed (fun () ->
+      Engine.run (with_finis ~raising_fini:true ()))
+
 let suites =
   [
     ( "dbi.engine",
@@ -262,5 +294,6 @@ let suites =
         Alcotest.test_case "transparency" `Quick test_uninstrumented_equivalence;
         Alcotest.test_case "frozen registration" `Quick
           test_instrumenter_registration_frozen;
+        Alcotest.test_case "fini functions" `Quick test_fini;
       ] );
   ]

@@ -201,7 +201,19 @@ let sample_manifest () =
     ~argv:[ "tquad"; "test" ]
     ~extra:
       [ ( "engine",
-          Json.Obj [ ("lookups", Json.Int 3); ("chain_hits", Json.Int 2) ] );
+          Json.Obj
+            [ ("lookups", Json.Int 3);
+              ("chain_hits", Json.Int 2);
+              ( "pipeline",
+                Json.Obj
+                  [ ( "groups",
+                      Json.List
+                        [ Json.List [ Json.Str "tquad" ];
+                          Json.List [ Json.Str "quad" ] ] );
+                    ("batches", Json.Int 12);
+                    ("consumer_domains", Json.Int 1);
+                    ("stall_s", Json.Float 0.01);
+                    ("idle_s", Json.Float 0.25) ] ) ] );
         ( "trace",
           Json.Obj
             [ ("version", Json.Int 3);
@@ -276,6 +288,14 @@ let test_manifest_validate_negative () =
   invalid (with_member "spans" (Json.List [ Json.Obj [] ]));
   invalid (with_member "metrics" (Json.Obj []));
   invalid (with_member "engine" (Json.Obj [ ("lookups", Json.Str "three") ]));
+  invalid
+    (with_member "engine"
+       (Json.Obj
+          [ ("pipeline", Json.Obj [ ("groups", Json.List [ Json.Str "quad" ]) ]) ]));
+  invalid
+    (with_member "engine"
+       (Json.Obj [ ("pipeline", Json.Obj [ ("stall_s", Json.Str "long") ]) ]));
+  invalid (with_member "engine" (Json.Obj [ ("pipeline", Json.Int 1) ]));
   invalid (with_member "trace" (Json.Obj [ ("events", Json.Str "many") ]));
   invalid
     (with_member "replay" (Json.Obj [ ("timings", Json.List [ Json.Obj [] ]) ]));
@@ -335,6 +355,53 @@ let test_cli_manifest_validates () =
       | Ok () -> ()
       | Error msg -> Alcotest.failf "pipeline manifest invalid: %s" msg);
       Alcotest.(check bool) "recorded events" true (events > 0))
+
+(* A live tool run through the CLI: the manifest's engine section carries
+   the probe's pipeline, and the whole document validates. *)
+let test_cli_pipeline_manifest () =
+  let src = Filename.temp_file "tq_obs" ".mc"
+  and path = Filename.temp_file "tq_obs" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; path ])
+    (fun () ->
+      Out_channel.with_open_bin src (fun oc ->
+          output_string oc
+            "int a[256];\n\
+             int main() { int s; s = 0;\n\
+            \  for (int i = 0; i < 256; i++) a[i] = i;\n\
+            \  for (int i = 0; i < 256; i++) s += a[i];\n\
+            \  return 0; }\n");
+      let code =
+        Sys.command
+          (Printf.sprintf "%s quad %s --metrics %s >/dev/null 2>&1"
+             (Test_chaos.cli_path ()) src path)
+      in
+      Alcotest.(check int) "quad exits 0" 0 code;
+      let doc = Manifest.load path in
+      (match Manifest.validate doc with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "quad manifest invalid: %s" msg);
+      let member k v =
+        match Json.member k v with
+        | Some x -> x
+        | None -> Alcotest.failf "manifest has no %s" k
+      in
+      let pipeline = member "pipeline" (member "engine" doc) in
+      let names =
+        match member "groups" pipeline with
+        | Json.List groups ->
+            List.concat_map
+              (function
+                | Json.List g ->
+                    List.map (function Json.Str n -> n | _ -> "?") g
+                | _ -> [ "?" ])
+              groups
+        | _ -> []
+      in
+      Alcotest.(check (list string)) "one sink: quad" [ "quad" ] names;
+      List.iter
+        (fun k -> ignore (member k pipeline))
+        [ "batches"; "consumer_domains"; "stall_s"; "idle_s" ])
 
 (* ---------- reader CRC check / replay timings ---------- *)
 
@@ -477,6 +544,8 @@ let suites =
           test_manifest_validate_negative;
         Alcotest.test_case "manifest: real pipeline manifest validates" `Slow
           test_cli_manifest_validates;
+        Alcotest.test_case "manifest: live run reports its probe pipeline"
+          `Quick test_cli_pipeline_manifest;
         Alcotest.test_case "reader: crc_check counts chunks" `Quick
           test_crc_check;
         Alcotest.test_case "reader: crc_check catches corruption" `Quick

@@ -208,8 +208,8 @@ let scen = Tq_wfs.Scenario.tiny
 let slice = 2_000
 let period = 2_000
 
-(* One live wfs run with all six tools attached at once (each registers its
-   own probe on the engine). *)
+(* One live wfs run with all six tools attached at once (they share the
+   engine's one probe, split into an inline and a pipelined group). *)
 let live_reports () =
   let m =
     Machine.create
