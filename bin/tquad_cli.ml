@@ -1805,6 +1805,10 @@ let with_client ~ctx (retries, timeout_s, backoff) socket f =
   let policy =
     { Tq_serve.Client.default_policy with retries; base_s = backoff }
   in
+  (* a server that hangs up while an upload's bytes are in flight must
+     surface as EPIPE, a transport error, not kill the client *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   match
     Tq_serve.Client.with_retry ~policy (fun ~attempt ->
         match Tq_serve.Client.connect ?timeout_s ~attempt socket with
@@ -2087,8 +2091,8 @@ let client_cmd =
          ~doc:
            "Fire a deterministic storm of malformed wire frames (torn \
             headers, oversized lengths, garbage payloads, mid-frame \
-            disconnects, stalls) at the daemon, then health-check it; exit \
-            0 iff the server survived every strike")
+            disconnects, stalls, broken upload blobs) at the daemon, then \
+            health-check it; exit 0 iff the server survived every strike")
       Term.(const run $ socket_arg $ seed_arg $ rounds_arg $ wait_arg)
   in
   Cmd.group

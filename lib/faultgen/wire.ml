@@ -2,7 +2,8 @@ module Json = Tq_obs.Json
 
 (* Everything here hand-rolls the wire format on purpose: the module exists
    to attack Tq_serve.Protocol's framing, so it must not frame through it.
-   One frame = 4-byte big-endian length + that many bytes of JSON. *)
+   One frame = 4-byte big-endian length + that many bytes: JSON for
+   requests and responses, raw bytes for the blobs an upload announces. *)
 
 let frame_cap = 256 * 1024 * 1024 (* mirrors Protocol.max_frame *)
 
@@ -13,6 +14,10 @@ type mutation =
   | Garbage_payload of { len : int; seed : int }
   | Mid_frame_disconnect of { claim : int; sent : int }
   | Stall_then_resume of { split : int; stall_s : float }
+  | Blob_size_mismatch of { announced : int; sent : int }
+  | Missing_blob of { announced : int }
+  | Mid_blob_disconnect of { claim : int; sent : int }
+  | Oversized_blob of { claim : int }
 
 let describe = function
   | Torn_header { keep } ->
@@ -27,6 +32,16 @@ let describe = function
   | Stall_then_resume { split; stall_s } ->
       Printf.sprintf "stall %.3fs after %d bytes, then finish a valid ping"
         stall_s split
+  | Blob_size_mismatch { announced; sent } ->
+      Printf.sprintf "upload announces %d trace bytes, blob frame carries %d"
+        announced sent
+  | Missing_blob { announced } ->
+      Printf.sprintf "upload announces %d trace bytes, no blob follows"
+        announced
+  | Mid_blob_disconnect { claim; sent } ->
+      Printf.sprintf "mid-blob disconnect: %d of %d trace bytes" sent claim
+  | Oversized_blob { claim } ->
+      Printf.sprintf "upload blob length prefix claims %d bytes" claim
 
 let slug = function
   | Torn_header _ -> "torn-header"
@@ -35,6 +50,10 @@ let slug = function
   | Garbage_payload _ -> "garbage-payload"
   | Mid_frame_disconnect _ -> "mid-frame-disconnect"
   | Stall_then_resume _ -> "stall-resume"
+  | Blob_size_mismatch _ -> "blob-size-mismatch"
+  | Missing_blob _ -> "missing-blob"
+  | Mid_blob_disconnect _ -> "mid-blob-disconnect"
+  | Oversized_blob _ -> "oversized-blob"
 
 (* Same self-contained LCG as Faultgen's container mutations (Java's 48-bit
    parameters) — chaos must be reproducible from the seed alone. *)
@@ -50,7 +69,7 @@ let pick r bound = if bound <= 0 then 0 else next r mod bound
 
 let random ~seed =
   let r = rng seed in
-  match pick r 6 with
+  match pick r 10 with
   | 0 -> Torn_header { keep = pick r 4 }
   | 1 -> Oversized_length { claim = frame_cap + 1 + pick r 4096 }
   | 2 -> Negative_length
@@ -58,9 +77,22 @@ let random ~seed =
   | 4 ->
       let claim = 16 + pick r 1024 in
       Mid_frame_disconnect { claim; sent = pick r claim }
-  | _ ->
+  | 5 ->
       Stall_then_resume
         { split = 1 + pick r 7; stall_s = 0.01 +. (float_of_int (pick r 50) /. 1000.) }
+  | 6 ->
+      let announced = pick r 1024 in
+      let delta = 1 + pick r 64 in
+      let sent =
+        if pick r 2 = 0 || delta > announced then announced + delta
+        else announced - delta
+      in
+      Blob_size_mismatch { announced; sent }
+  | 7 -> Missing_blob { announced = 1 + pick r 1024 }
+  | 8 ->
+      let claim = 16 + pick r 1024 in
+      Mid_blob_disconnect { claim; sent = pick r claim }
+  | _ -> Oversized_blob { claim = frame_cap + 1 + pick r 4096 }
 
 (* ---------- raw wire helpers ---------- *)
 
@@ -69,12 +101,16 @@ let be32 n =
   Bytes.set_int32_be b 0 (Int32.of_int n);
   b
 
-let ping_frame =
-  let payload = {|{"op":"ping"}|} in
+let frame payload =
   let b = Bytes.create (4 + String.length payload) in
   Bytes.blit (be32 (String.length payload)) 0 b 0 4;
   Bytes.blit_string payload 0 b 4 (String.length payload);
   b
+
+let ping_frame = frame {|{"op":"ping"}|}
+
+(* An upload request announcing [n] trace bytes; the blob would follow. *)
+let upload_frame n = frame (Printf.sprintf {|{"op":"upload","trace_bytes":%d}|} n)
 
 (* Best-effort write: the server may slam the door mid-send (reaper, frame
    refusal) — for a chaos client that is a fine outcome, not an error. *)
@@ -87,6 +123,8 @@ let send_all fd b pos len =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos len
   in
   go pos len
+
+let send_frame fd b = send_all fd b 0 (Bytes.length b)
 
 type verdict =
   | Rejected of string
@@ -201,12 +239,34 @@ let strike ?(wait_s = 2.0) ~socket mut =
           send_all fd ping_frame 0 split;
           Unix.sleepf stall_s;
           send_all fd ping_frame split (Bytes.length ping_frame - split);
+          read_verdict ~deadline:(deadline ()) fd
+      | Blob_size_mismatch { announced; sent } ->
+          send_frame fd (upload_frame announced);
+          (* the server refuses on the length prefix; the payload may meet
+             a closed socket *)
+          send_frame fd (frame (String.make sent 'x'));
+          read_verdict ~deadline:(deadline ()) fd
+      | Missing_blob { announced } ->
+          send_frame fd (upload_frame announced);
+          (* half-close: the server sees EOF where the blob should start,
+             and can still answer *)
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          read_verdict ~deadline:(deadline ()) fd
+      | Mid_blob_disconnect { claim; sent } ->
+          send_frame fd (upload_frame claim);
+          send_all fd (be32 claim) 0 4;
+          send_all fd (Bytes.make sent 'x') 0 sent;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          read_verdict ~deadline:(deadline ()) fd
+      | Oversized_blob { claim } ->
+          send_frame fd (upload_frame claim);
+          send_all fd (be32 claim) 0 4;
           read_verdict ~deadline:(deadline ()) fd)
 
 let ping ?(wait_s = 5.0) ~socket () =
   let v =
     with_conn socket (fun fd ->
-        send_all fd ping_frame 0 (Bytes.length ping_frame);
+        send_frame fd ping_frame;
         read_verdict ~deadline:(Unix.gettimeofday () +. wait_s) fd)
   in
   match v with

@@ -4,8 +4,9 @@
 
     The robustness contract under test: for {e any} byte stream a peer
     sends, the serve daemon must stay alive and answer the next healthy
-    client correctly — malformed frames get a typed [bad-request], stalled
-    ones a typed [timeout] (or a quiet reap), and none of them may crash a
+    client correctly — malformed frames and upload blobs that break the
+    request's announced framing get a typed [bad-request], stalled ones a
+    typed [timeout] (or a quiet reap), and none of them may crash a
     connection thread or corrupt another client's session.
     [test/test_chaos.ml] checks exactly that property; the CI chaos smoke
     drives the same strikes through [tquad client chaos].
@@ -31,6 +32,20 @@ type mutation =
       (** the slow-loris probe: send [split] bytes of a {e valid} ping
           frame, stall, then finish it — completes if the stall beats the
           server's frame timeout, reaps otherwise; both are correct *)
+  | Blob_size_mismatch of { announced : int; sent : int }
+      (** an upload request announcing [announced] trace bytes, then a
+          raw blob frame of [sent <> announced] bytes: refused on the
+          length prefix *)
+  | Missing_blob of { announced : int }
+      (** an upload request, then the sending half closes where the blob
+          should start *)
+  | Mid_blob_disconnect of { claim : int; sent : int }
+      (** an upload request and a blob header for [claim] bytes, [sent <
+          claim] of them, then the sending half closes *)
+  | Oversized_blob of { claim : int }
+      (** an upload request announcing [claim] bytes and a blob length
+          prefix of [claim], past the frame cap: refused without
+          allocating *)
 
 val describe : mutation -> string
 (** Human-readable, e.g. for logging which strike a storm delivered. *)

@@ -32,9 +32,12 @@ let stamp t req =
       Json.Obj (members @ [ ("attempt", Json.Int t.attempt) ])
   | j -> j
 
-let request t req =
+(* Send one request frame and the raw frames that follow it, then wait for
+   the reply. *)
+let exchange ?(blobs = []) t req =
   match
     Protocol.write_frame ?timeout_s:t.timeout_s t.fd (stamp t req);
+    List.iter (Protocol.write_raw ?timeout_s:t.timeout_s t.fd) blobs;
     Protocol.read_frame ?idle_timeout_s:t.timeout_s
       ?frame_timeout_s:t.timeout_s t.fd
   with
@@ -58,6 +61,8 @@ let request t req =
       Error (timed_out ("no response from server: " ^ what))
   | exception Unix.Unix_error (e, fn, _) ->
       Error (transport (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
+
+let request t req = exchange t req
 
 (* ---------- retry policy ---------- *)
 
@@ -110,18 +115,35 @@ let op name members = Json.Obj (("op", Json.Str name) :: members)
 let ping t =
   match request t (op "ping" []) with Ok _ -> Ok () | Error e -> Error e
 
+(* Every blob is size-checked before anything is sent, so an oversized one
+   never leaves the server waiting mid-request; the refusal is terminal, as
+   a retry would send the same bytes. *)
 let upload ?name ?program ~trace t =
-  let members =
-    [ ("trace", Json.Str trace) ]
-    @ (match name with Some n -> [ ("name", Json.Str n) ] | None -> [])
-    @ match program with Some p -> [ ("program", Json.Str p) ] | None -> []
-  in
-  match request t (op "upload" members) with
-  | Error e -> Error e
-  | Ok resp -> (
-      match Protocol.get_str "id" resp with
-      | Some id -> Ok id
-      | None -> Error (transport "upload response carries no id"))
+  let blobs = trace :: Option.to_list program in
+  match List.find_opt (fun b -> String.length b > Protocol.max_frame) blobs with
+  | Some b ->
+      Error
+        {
+          kind = Protocol.bad_request;
+          reason =
+            Printf.sprintf "%d-byte payload exceeds the %d-byte frame cap"
+              (String.length b) Protocol.max_frame;
+          retry_after_s = None;
+        }
+  | None -> (
+      let members =
+        [ ("trace_bytes", Json.Int (String.length trace)) ]
+        @ (match program with
+          | Some p -> [ ("program_bytes", Json.Int (String.length p)) ]
+          | None -> [])
+        @ match name with Some n -> [ ("name", Json.Str n) ] | None -> []
+      in
+      match exchange ~blobs t (op "upload" members) with
+      | Error e -> Error e
+      | Ok resp -> (
+          match Protocol.get_str "id" resp with
+          | Some id -> Ok id
+          | None -> Error (transport "upload response carries no id")))
 
 let trace_info t id =
   match request t (op "trace-info" [ ("id", Json.Str id) ]) with

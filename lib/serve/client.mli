@@ -52,7 +52,10 @@ val upload :
   t ->
   (string, err) result
 (** Upload a trace container (raw bytes) with an optional encoded object
-    file ({!Tq_vm.Objfile.encode}); returns the server's trace id.
+    file ({!Tq_vm.Objfile.encode}); returns the server's trace id.  The
+    request announces both sizes; the bytes follow it unescaped, as one raw
+    frame each ({!Protocol.write_raw}).  A blob over {!Protocol.max_frame}
+    is refused locally as [bad-request] before anything is sent.
     Idempotent: re-uploading known bytes returns the same id. *)
 
 val trace_info : t -> string -> (Tq_obs.Json.t, err) result

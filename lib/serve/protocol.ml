@@ -91,52 +91,74 @@ let deadline_of = Option.map (fun s -> Unix.gettimeofday () +. s)
 (* The idle timeout governs the wait for a frame's first byte (a quiet but
    healthy peer); once any byte has arrived the frame timeout takes over —
    the whole header+payload must complete within it, so a slow-loris peer
-   dribbling one byte per minute is reaped instead of pinning the reader. *)
-let read_frame ?idle_timeout_s ?frame_timeout_s ?(max_frame = max_frame) fd =
+   dribbling one byte per minute is reaped instead of pinning the reader.
+   Bounds are checked on the header alone, before the payload is
+   allocated. *)
+let read_raw ?idle_timeout_s ?frame_timeout_s ?(max_frame = max_frame) ?len
+    fd =
   let hdr = Bytes.create 4 in
   if not (read_exact ?deadline:(deadline_of idle_timeout_s) fd hdr 0 1) then
     None
   else begin
     let deadline = deadline_of frame_timeout_s in
     if not (read_exact ?deadline fd hdr 1 3) then raise End_of_file;
-    let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-    if len < 0 || len > max_frame then
-      raise (Frame_error (Printf.sprintf "frame length %d out of bounds" len));
-    let payload = Bytes.create len in
-    if not (read_exact ?deadline fd payload 0 len) then raise End_of_file;
-    match Json.of_string (Bytes.unsafe_to_string payload) with
-    | j -> Some j
-    | exception Json.Parse_error msg ->
-        raise (Frame_error ("frame payload: " ^ msg))
+    let n = Int32.to_int (Bytes.get_int32_be hdr 0) in
+    if n < 0 || n > max_frame then
+      raise (Frame_error (Printf.sprintf "frame length %d out of bounds" n));
+    (match len with
+    | Some want when want <> n ->
+        raise
+          (Frame_error
+             (Printf.sprintf "frame length %d, expected %d" n want))
+    | _ -> ());
+    let payload = Bytes.create n in
+    if not (read_exact ?deadline fd payload 0 n) then raise End_of_file;
+    Some payload
   end
 
-let write_frame ?timeout_s ?(max_frame = max_frame) fd j =
-  let s = Json.to_string j in
+(* Header and payload go out as two writes under one deadline: the payload
+   is never copied into a [4 + len] buffer. *)
+let write_raw ?timeout_s ?(max_frame = max_frame) fd s =
   let len = String.length s in
   if len > max_frame then
     raise (Frame_error (Printf.sprintf "frame length %d out of bounds" len));
-  let buf = Bytes.create (4 + len) in
-  Bytes.set_int32_be buf 0 (Int32.of_int len);
-  Bytes.blit_string s 0 buf 4 len;
-  write_all ?deadline:(deadline_of timeout_s) fd buf 0 (4 + len)
+  let hdr = Bytes.create 4 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int len);
+  let deadline = deadline_of timeout_s in
+  write_all ?deadline fd hdr 0 4;
+  write_all ?deadline fd (Bytes.unsafe_of_string s) 0 len
+
+let read_frame ?idle_timeout_s ?frame_timeout_s ?max_frame fd =
+  match read_raw ?idle_timeout_s ?frame_timeout_s ?max_frame fd with
+  | None -> None
+  | Some payload -> (
+      match Json.of_string (Bytes.unsafe_to_string payload) with
+      | j -> Some j
+      | exception Json.Parse_error msg ->
+          raise (Frame_error ("frame payload: " ^ msg)))
+
+let write_frame ?timeout_s ?max_frame fd j =
+  write_raw ?timeout_s ?max_frame fd (Json.to_string j)
 
 (* ---------- trace identity ---------- *)
 
 (* FNV-1a-64 over the container bytes.  Same construction as
    Tq_vm.Program.fingerprint, but over the recording rather than the code:
    two recordings of one program (different inputs, slices, fuel) must not
-   share a cache key. *)
+   share a cache key.  An index loop over a local accumulator keeps the
+   Int64 unboxed; a closure over a ref boxes one per byte. *)
 let trace_key s =
-  let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
-let trace_id s = Printf.sprintf "%016Lx" (trace_key s)
+let id_of_key k = Printf.sprintf "%016Lx" k
+let trace_id s = id_of_key (trace_key s)
 
 (* ---------- shared sections ---------- *)
 

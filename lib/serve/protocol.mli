@@ -1,12 +1,14 @@
 (** Wire protocol of the serve daemon — framing, trace identity and the
     shared response shapes.
 
-    One frame = a 4-byte big-endian length followed by that many bytes of
-    {!Tq_obs.Json} text.  Both directions use the same framing; binary
-    payloads (trace containers, object files) ride inside [Json.Str]
-    members, which hold arbitrary bytes.  Frames larger than {!max_frame}
-    are refused on read and on write — a malformed peer cannot make the
-    server allocate unboundedly.
+    One frame = a 4-byte big-endian length followed by that many bytes.
+    {!read_raw} / {!write_raw} move the bytes as they are; {!read_frame} /
+    {!write_frame} are the same frames with a {!Tq_obs.Json} text payload,
+    used for every request and response.  Binary payloads (trace
+    containers, object files) cross as raw frames after the JSON request
+    that announces their sizes (see docs/SERVE.md, [upload]).  Frames larger
+    than {!max_frame} are refused on read and on write — a malformed peer
+    cannot make the server allocate unboundedly.
 
     Every response is an object with a boolean ["ok"] member.  Failures are
     [{"ok": false, "error": KIND, "reason": TEXT}] where KIND is one of the
@@ -18,13 +20,49 @@ val max_frame : int
 (** Upper bound on a frame's payload length (bytes). *)
 
 exception Frame_error of string
-(** A malformed frame: oversized or negative length prefix, or a payload
-    that is not valid JSON.  Distinct from [End_of_file]-style clean
-    closure, which {!read_frame} reports as [None]. *)
+(** A malformed frame: oversized, negative or unexpected length prefix, or
+    a JSON frame whose payload is not valid JSON.  Distinct from
+    [End_of_file]-style clean closure, which {!read_raw} reports as
+    [None]. *)
 
 exception Timeout of string
 (** A deadline expired while waiting for socket readiness.  Raised only
     when the caller passed a timeout; the payload says which wait stalled. *)
+
+val read_raw :
+  ?idle_timeout_s:float ->
+  ?frame_timeout_s:float ->
+  ?max_frame:int ->
+  ?len:int ->
+  Unix.file_descr ->
+  Bytes.t option
+(** Read one frame's payload bytes.  [None] when the peer closed the
+    connection cleanly (EOF before any length byte).
+
+    [idle_timeout_s] bounds the wait for the frame's {e first} byte (an
+    idle-but-healthy peer); [frame_timeout_s] bounds the rest of the frame
+    once that byte arrived — header and payload together — so a peer
+    dribbling bytes (slow loris) cannot pin the reader.  Either elapsing
+    raises {!Timeout}.  Omitted timeouts block forever.  [max_frame]
+    overrides the module default, for boundary tests.  [len], when given,
+    is the only acceptable payload length.  Both bounds are checked on the
+    length prefix, before the payload is allocated.
+
+    Reads retry on [EINTR]/[EAGAIN]/[EWOULDBLOCK] — a signal during a
+    blocking socket read must not tear down a healthy connection.
+    @raise Frame_error on an out-of-bounds or unexpected length.
+    @raise End_of_file when the connection dies mid-frame.
+    @raise Timeout when a deadline expires. *)
+
+val write_raw :
+  ?timeout_s:float -> ?max_frame:int -> Unix.file_descr -> string -> unit
+(** Send one frame carrying the given bytes: the length prefix, then the
+    bytes themselves (no copy).  [timeout_s] bounds the whole write (a peer
+    that stops reading cannot pin the writer); writes retry on
+    [EINTR]/[EAGAIN]/[EWOULDBLOCK].
+    @raise Frame_error if the payload exceeds [max_frame]
+    (default {!max_frame}).
+    @raise Timeout when the deadline expires. *)
 
 val read_frame :
   ?idle_timeout_s:float ->
@@ -32,30 +70,13 @@ val read_frame :
   ?max_frame:int ->
   Unix.file_descr ->
   Tq_obs.Json.t option
-(** Read one frame.  [None] when the peer closed the connection cleanly
-    (EOF before any length byte).
-
-    [idle_timeout_s] bounds the wait for the frame's {e first} byte (an
-    idle-but-healthy peer); [frame_timeout_s] bounds the rest of the frame
-    once that byte arrived — header and payload together — so a peer
-    dribbling bytes (slow loris) cannot pin the reader.  Either elapsing
-    raises {!Timeout}.  Omitted timeouts block forever.  [max_frame]
-    overrides the module default, for boundary tests.
-
-    Reads retry on [EINTR]/[EAGAIN]/[EWOULDBLOCK] — a signal during a
-    blocking socket read must not tear down a healthy connection.
-    @raise Frame_error on an out-of-bounds length or malformed payload.
-    @raise End_of_file when the connection dies mid-frame.
-    @raise Timeout when a deadline expires. *)
+(** {!read_raw} and a JSON parse of the payload.
+    @raise Frame_error also when the payload is not valid JSON. *)
 
 val write_frame :
   ?timeout_s:float -> ?max_frame:int -> Unix.file_descr -> Tq_obs.Json.t -> unit
-(** Serialise and send one frame.  [timeout_s] bounds the whole write (a
-    peer that stops reading cannot pin the writer); writes retry on
-    [EINTR]/[EAGAIN]/[EWOULDBLOCK].
-    @raise Frame_error if the rendering exceeds [max_frame]
-    (default {!max_frame}).
-    @raise Timeout when the deadline expires. *)
+(** {!write_raw} of the JSON rendering.
+    @raise Frame_error if the rendering exceeds [max_frame]. *)
 
 (** {1 Trace identity} *)
 
@@ -65,9 +86,12 @@ val trace_key : string -> int64
     (stamped inside the container): two recordings of one program get
     different keys, so cache entries and uploads never alias. *)
 
-val trace_id : string -> string
-(** {!trace_key} rendered as 16 lowercase hex digits — the [id] clients
+val id_of_key : int64 -> string
+(** A {!trace_key} rendered as 16 lowercase hex digits — the [id] clients
     quote in [trace-info] and [replay] requests. *)
+
+val trace_id : string -> string
+(** [id_of_key (trace_key s)]. *)
 
 (** {1 Shared sections} *)
 

@@ -208,14 +208,52 @@ let busy_response s ?(extra = []) reason =
       s.busy_rejections <- s.busy_rejections + 1);
   Protocol.error ~extra Protocol.busy reason
 
-let handle_upload s req =
-  match Protocol.get_str "trace" req with
-  | None -> Protocol.error Protocol.bad_request "upload: missing trace bytes"
-  | Some bytes -> (
+(* Positive timeouts only: a non-positive configured timeout disables the
+   bound (blocking reads, the pre-deadline behaviour). *)
+let pos t = if t > 0. then Some t else None
+
+(* An upload's container and object-file bytes follow the request as raw
+   frames, trace first, each exactly the size the request announced.  Any
+   mismatch leaves the connection's framing lost, so it raises
+   [Frame_error]: the connection answers bad-request and closes.  [None]
+   when the request announces no trace (then no blob is read). *)
+let read_upload s fd req =
+  let lost reason = raise (Protocol.Frame_error ("upload: " ^ reason)) in
+  let size k =
+    match Json.member k req with
+    | None -> None
+    | Some (Json.Int n) when n >= 0 -> Some n
+    | Some _ -> lost (k ^ " must be a byte count")
+  in
+  let blob what n =
+    let ft = pos s.cfg.frame_timeout_s in
+    match Protocol.read_raw ?idle_timeout_s:ft ?frame_timeout_s:ft ~len:n fd with
+    | Some b -> Bytes.unsafe_to_string b
+    | None -> lost (what ^ " blob missing")
+    | exception End_of_file -> lost ("peer disconnected mid " ^ what ^ " blob")
+    | exception Protocol.Frame_error msg -> lost (what ^ " blob: " ^ msg)
+  in
+  match size "trace_bytes" with
+  | None -> None
+  | Some n ->
+      let program_n = size "program_bytes" in
+      let trace = blob "trace" n in
+      Some (trace, Option.map (blob "program") program_n)
+
+let handle_upload s req upload =
+  match upload with
+  | _ when Json.member "trace" req <> None || Json.member "program" req <> None
+    ->
+      Protocol.error Protocol.bad_request
+        "upload: trace and program bytes follow the request as raw frames \
+         announced by trace_bytes and program_bytes, not as members"
+  | None -> Protocol.error Protocol.bad_request "upload: missing trace_bytes"
+  | Some (bytes, program) -> (
       let name =
         Option.value (Protocol.get_str "name" req) ~default:"trace"
       in
-      let id = Protocol.trace_id bytes in
+      let key = Protocol.trace_key bytes in
+      let id = Protocol.id_of_key key in
       let existing =
         Mutex.protect s.lock (fun () -> Hashtbl.find_opt s.traces id)
       in
@@ -231,7 +269,7 @@ let handle_upload s req =
               Protocol.error Protocol.bad_trace ("trace: " ^ msg)
           | reader -> (
               let prog =
-                match Protocol.get_str "program" req with
+                match program with
                 | None -> Ok None
                 | Some pb -> (
                     match Tq_vm.Objfile.decode pb with
@@ -245,9 +283,7 @@ let handle_upload s req =
               match prog with
               | Error msg -> Protocol.error Protocol.bad_trace msg
               | Ok prog ->
-                  let entry =
-                    { id; key = Protocol.trace_key bytes; name; reader; prog }
-                  in
+                  let entry = { id; key; name; reader; prog } in
                   let stored =
                     Mutex.protect s.lock (fun () ->
                         if Hashtbl.mem s.traces id then true
@@ -407,10 +443,10 @@ let handle_report s req =
             Protocol.ok [ ("job", Json.Int jid); ("done", Json.Bool false) ]
         | Jobs.Done results -> render_results jid results)
 
-let handle_request s conn op req =
+let handle_request s conn ~upload op req =
   match op with
   | "ping" -> Protocol.ok [ ("pong", Json.Bool true) ]
-  | "upload" -> handle_upload s req
+  | "upload" -> handle_upload s req upload
   | "trace-info" -> handle_trace_info s req
   | "replay" -> handle_replay s conn req
   | "report" -> handle_report s req
@@ -422,10 +458,6 @@ let handle_request s conn op req =
   | other -> Protocol.error Protocol.bad_request ("unknown op " ^ other)
 
 (* ---------- connections ---------- *)
-
-(* Positive timeouts only: a non-positive configured timeout disables the
-   bound (blocking reads, the pre-deadline behaviour). *)
-let pos t = if t > 0. then Some t else None
 
 let handle_conn s conn =
   let fd = conn.c_fd in
@@ -472,8 +504,11 @@ let handle_conn s conn =
                 Mutex.protect s.lock (fun () ->
                     s.retries_observed <- s.retries_observed + 1)
             | _ -> ());
+            let upload =
+              if op = "upload" then read_upload s fd req else None
+            in
             let resp =
-              try handle_request s conn op req
+              try handle_request s conn ~upload op req
               with exn ->
                 Protocol.error Protocol.server_error
                   ("internal error: " ^ Printexc.to_string exn)

@@ -25,6 +25,12 @@ let own_cost = 0.83
 
 let writer_cost = 1.4
 
+(* What pipelining costs a run whatever its sinks: one lock round trip per
+   4096-row batch and a wake-up whenever the consumer idles (about 18 us a
+   hand-off).  Measured as the wall a lone gprof sink, cost 0.05, lost on
+   wfs default when it ran on a consumer domain instead of inline. *)
+let handoff_cost = 0.2
+
 (* A batch of 4096 rows is ~230 KB of columns: a few of them keep the
    consumer fed without the producer waiting, and each hand-off (one lock
    round trip, and a wake-up when the consumer is idle) is amortised over
@@ -367,6 +373,29 @@ let make_plan p =
   in
   let split =
     Replay.split_groups ~load0:own_cost k (Array.map (fun s -> s.cost) movable)
+  in
+  (* Split only when it pays: pipelined, a run takes its heaviest group plus
+     the hand-off; inline, every group's load in turn.  Comparing the
+     hand-off with the loads of the other groups says the same and stays
+     finite when a sink's cost is [infinity]. *)
+  let loads =
+    Array.mapi
+      (fun g members ->
+        Array.fold_left
+          (fun acc i -> acc +. movable.(i).cost)
+          (if g = 0 then own_cost else 0.)
+          members)
+      split
+  in
+  Array.sort (fun a b -> compare b a) loads;
+  let overlapped =
+    Array.fold_left ( +. ) 0. (Array.sub loads 1 (Array.length loads - 1))
+  in
+  let split =
+    if overlapped > handoff_cost then split
+    else
+      Array.init k (fun g ->
+          if g = 0 then Array.init (Array.length movable) Fun.id else [||])
   in
   let members g =
     let moved = Array.to_list (Array.map (fun i -> movable.(i)) split.(g)) in

@@ -23,7 +23,9 @@
     code, the sinks with a cost split into at most
     [Domain.recommended_domain_count ()] groups by {!Replay.split_groups},
     group 0 pre-loaded with the probe's own cost; sinks without one join
-    group 0.  Group 0 consumes every event inline on the engine's domain.
+    group 0.  The split is kept only when the loads it overlaps with the
+    heaviest group outweigh the hand-off's per-run cost; otherwise every
+    sink runs inline (a lone gprof or mix sink does).  Group 0 consumes every event inline on the engine's domain.
     Each other group gets the events through a small ring of reusable
     struct-of-arrays batches, on a domain of its own, spawned when the
     first batch fills (a run shorter than one batch spawns none).  Every

@@ -96,6 +96,40 @@ let test_frame_boundary_exact () =
   | exception Protocol.Frame_error _ -> ());
   Unix.close rd
 
+let test_raw_frame_boundary_exact () =
+  (* the raw pair: a payload of exactly max_frame bytes passes and one byte
+     more is refused, on read and on write *)
+  let payload = String.make 64 '\xff' in
+  let rd = feed (raw_frame payload) in
+  (match Protocol.read_raw ~max_frame:64 rd with
+  | Some b -> Alcotest.(check string) "payload intact" payload (Bytes.to_string b)
+  | None -> Alcotest.fail "exact-boundary raw frame must read");
+  Unix.close rd;
+  let rd = feed (raw_frame (payload ^ "x")) in
+  (match Protocol.read_raw ~max_frame:64 rd with
+  | _ -> Alcotest.fail "over-boundary raw frame accepted"
+  | exception Protocol.Frame_error _ -> ());
+  Unix.close rd;
+  let rd, wr = Unix.pipe () in
+  Protocol.write_raw ~max_frame:64 wr payload;
+  (match Protocol.write_raw ~max_frame:64 wr (payload ^ "x") with
+  | _ -> Alcotest.fail "over-boundary raw write accepted"
+  | exception Protocol.Frame_error _ -> ());
+  Unix.close wr;
+  (match Protocol.read_raw ~max_frame:64 rd with
+  | Some b -> Alcotest.(check int) "exact write delivered" 64 (Bytes.length b)
+  | None -> Alcotest.fail "exact-boundary raw write lost");
+  Alcotest.(check bool) "refused write sent nothing" true
+    (Protocol.read_raw rd = None);
+  Unix.close rd;
+  (* an expected length other than the prefix is refused before the
+     payload is read *)
+  let rd = feed (raw_frame payload) in
+  (match Protocol.read_raw ~len:63 rd with
+  | _ -> Alcotest.fail "unexpected length accepted"
+  | exception Protocol.Frame_error _ -> ());
+  Unix.close rd
+
 let test_frame_negative_length () =
   List.iter
     (fun claim ->
@@ -640,6 +674,46 @@ let test_cli_retry_reaches_server_counter () =
   Client.close c;
   stop_server socket th
 
+(* ---------- upload blobs under fire ---------- *)
+
+(* An upload whose blobs break the request's announced framing draws a
+   typed bad-request at once — not after the frame deadline — and the
+   server keeps answering pings. *)
+let test_blob_mutation mut () =
+  let socket = tmp_socket () in
+  let frame_timeout_s = 2. in
+  let cfg =
+    {
+      (Server.default ~socket_path:socket) with
+      Server.workers = 1;
+      frame_timeout_s;
+    }
+  in
+  let th = start_server cfg in
+  let what = Wire.describe mut in
+  let t0 = Unix.gettimeofday () in
+  (match Wire.strike ~wait_s:5. ~socket mut with
+  | Wire.Rejected kind ->
+      Alcotest.(check string) (what ^ ": typed refusal") Protocol.bad_request
+        kind
+  | v -> Alcotest.failf "%s: %s" what (Wire.verdict_slug v));
+  Alcotest.(check bool) (what ^ ": within the frame deadline") true
+    (Unix.gettimeofday () -. t0 < frame_timeout_s);
+  (match Wire.ping ~socket () with
+  | Ok () -> ()
+  | Error why -> Alcotest.failf "ping after %s: %s" what why);
+  stop_server socket th
+
+let blob_mutations =
+  Wire.
+    [ ( "blob: announced size differs from the frame",
+        Blob_size_mismatch { announced = 64; sent = 80 } );
+      ("blob: request with no blob following", Missing_blob { announced = 64 });
+      ( "blob: disconnect mid-blob",
+        Mid_blob_disconnect { claim = 512; sent = 100 } );
+      ( "blob: length prefix over max_frame",
+        Oversized_blob { claim = Protocol.max_frame + 1 } ) ]
+
 (* ---------- the qcheck chaos property ---------- *)
 
 (* For ANY storm of malformed wire bytes: the server never dies, answers
@@ -797,6 +871,8 @@ let suites =
   [ ( "chaos",
       [ Alcotest.test_case "frames: max_frame boundary exact/below/above"
           `Quick test_frame_boundary_exact;
+        Alcotest.test_case "frames: raw max_frame boundary, read and write"
+          `Quick test_raw_frame_boundary_exact;
         Alcotest.test_case "frames: negative lengths refused" `Quick
           test_frame_negative_length;
         Alcotest.test_case "frames: garbage payloads refused" `Quick
@@ -836,9 +912,13 @@ let suites =
         Alcotest.test_case "server: attached jobs cancel on disconnect"
           `Quick test_server_attach_cancels_on_disconnect;
         Alcotest.test_case "server: retried requests reach the counter"
-          `Quick test_cli_retry_reaches_server_counter;
-        qcheck_storm_test;
-        Alcotest.test_case "storm aftermath: byte-identical reports" `Quick
-          qcheck_storm_final;
-        Alcotest.test_case "cli: serve-path exit codes 0/2/3/4" `Quick
-          test_cli_exit_codes ] ) ]
+          `Quick test_cli_retry_reaches_server_counter ]
+      @ List.map
+          (fun (name, mut) ->
+            Alcotest.test_case name `Quick (test_blob_mutation mut))
+          blob_mutations
+      @ [ qcheck_storm_test;
+          Alcotest.test_case "storm aftermath: byte-identical reports" `Quick
+            qcheck_storm_final;
+          Alcotest.test_case "cli: serve-path exit codes 0/2/3/4" `Quick
+            test_cli_exit_codes ] ) ]

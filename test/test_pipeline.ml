@@ -100,8 +100,14 @@ let replayed s =
           | Error f -> Alcotest.failf "%s: %s" name (Replay.failure_message f))
         (Replay.sequential (Reader.load path) jobs))
 
+(* gprof and mix alone cost less than the hand-off and stay inline; with
+   tquad they join its consumer group, which keeps their consumer path
+   covered. *)
+let cheap_alone = function [ ("gprof" | "mix") ] -> true | _ -> false
+
 let tool_sets =
-  List.map (fun t -> [ t ]) Toolset.names @ [ [ "tquad"; "quad" ] ]
+  List.map (fun t -> [ t ]) Toolset.names
+  @ [ [ "tquad"; "quad" ]; [ "tquad"; "gprof"; "mix" ] ]
 
 let test_identity subject () =
   let s = Lazy.force subject in
@@ -120,12 +126,49 @@ let test_identity subject () =
         tools (List.combine piped inline);
       (* the heaviest tool leaves the engine's domain *)
       match shape with
+      | Some _ when cheap_alone tools -> ()
       | Some p when multicore ->
           Alcotest.(check bool) (what ^ ": a consumer group ran") true
             (List.length p.Probe.groups >= 2 && p.Probe.consumer_domains >= 1)
       | Some _ -> ()
       | None -> Alcotest.failf "%s: no pipeline reported" what)
     tool_sets
+
+(* The plan pipelines only when the hand-off costs less than the work it
+   overlaps: a cheap lone sink stays inline, while tquad+quad and the
+   recorder keep their consumer groups. *)
+let test_plan_pays () =
+  let s = Lazy.force wfs_tiny in
+  let groups_of tools =
+    match live s tools with
+    | _, Some p -> p
+    | _, None -> Alcotest.failf "%s: no pipeline" (String.concat "+" tools)
+  in
+  List.iter
+    (fun tool ->
+      let p = groups_of [ tool ] in
+      Alcotest.(check int) (tool ^ " alone: no consumer domain") 0
+        p.Probe.consumer_domains;
+      Alcotest.(check (list (list string)))
+        (tool ^ " alone: one inline group") [ [ tool ] ] p.Probe.groups)
+    [ "gprof"; "mix" ];
+  if multicore then begin
+    let p = groups_of [ "tquad"; "quad" ] in
+    Alcotest.(check (list (list string))) "tquad+quad: quad leaves"
+      [ [ "tquad" ]; [ "quad" ] ] p.Probe.groups;
+    Alcotest.(check bool) "tquad+quad: a consumer domain ran" true
+      (p.Probe.consumer_domains >= 1);
+    let eng = engine s in
+    let path = Filename.temp_file "tq_pipe" ".trc" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () -> ignore (Probe.record ~fuel:s.fuel eng ~path : int));
+    match Probe.pipeline eng with
+    | Some p ->
+        Alcotest.(check (list (list string))) "record: the writer leaves"
+          [ []; [ "writer" ] ] p.Probe.groups
+    | None -> Alcotest.fail "record: no pipeline"
+  end
 
 exception Sink_broke of int
 
@@ -245,6 +288,8 @@ let suites =
           (test_identity wfs_tiny);
         Alcotest.test_case "image pipeline: pipelined = inline = replay" `Quick
           (test_identity image_app);
+        Alcotest.test_case "a cheap lone sink stays inline" `Quick
+          test_plan_pays;
         Alcotest.test_case "consumer sink failure raises from run" `Quick
           test_sink_failure;
         Alcotest.test_case "out of fuel drains every emitted event" `Quick

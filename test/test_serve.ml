@@ -327,12 +327,39 @@ let test_frame_oversized_rejected () =
   Unix.close rd;
   Unix.close wr
 
+let all_bytes = String.init 256 Char.chr
+
+(* Ids name uploaded bytes across server restarts and client caches: the
+   digest is FNV-1a-64 and must never drift. *)
 let test_trace_id () =
   let id = Protocol.trace_id "hello" in
   Alcotest.(check int) "16 hex digits" 16 (String.length id);
   Alcotest.(check string) "deterministic" id (Protocol.trace_id "hello");
   Alcotest.(check bool) "content-sensitive" true
-    (Protocol.trace_id "hello!" <> id)
+    (Protocol.trace_id "hello!" <> id);
+  Alcotest.(check string) "empty" "cbf29ce484222325" (Protocol.trace_id "");
+  Alcotest.(check string) "hello" "a430d84680aabd0b" id;
+  Alcotest.(check string) "all byte values" "4242dc5249c33625"
+    (Protocol.trace_id all_bytes);
+  Alcotest.(check string) "id renders the key"
+    (Protocol.id_of_key (Protocol.trace_key all_bytes))
+    (Protocol.trace_id all_bytes)
+
+let test_raw_frame_roundtrip () =
+  let rd, wr = Unix.pipe () in
+  let payloads = [ all_bytes; ""; String.make 3 '\x00' ] in
+  List.iter (Protocol.write_raw wr) payloads;
+  Unix.close wr;
+  List.iter
+    (fun expect ->
+      match Protocol.read_raw rd with
+      | Some got ->
+          Alcotest.(check string) "raw frame round-trips" expect
+            (Bytes.to_string got)
+      | None -> Alcotest.fail "unexpected EOF")
+    payloads;
+  Alcotest.(check bool) "clean EOF is None" true (Protocol.read_raw rd = None);
+  Unix.close rd
 
 (* ---------- client/server over a real socket ---------- *)
 
@@ -391,6 +418,22 @@ let test_socket_roundtrip () =
   in
   Alcotest.(check string) "id is the container digest"
     (Protocol.trace_id bytes) id;
+  (match Client.trace_info c id with
+  | Ok info ->
+      Alcotest.(check (option int)) "trace-info bytes = container length"
+        (Some (String.length bytes)) (Protocol.get_int "bytes" info)
+  | Error e -> Alcotest.fail ("trace-info: " ^ e.Client.reason));
+  (* the container crosses as a raw frame: the pre-raw form, bytes in a
+     "trace" string member, is refused *)
+  (match
+     Client.request c
+       (Json.Obj [ ("op", Json.Str "upload"); ("trace", Json.Str bytes) ])
+   with
+  | Error e ->
+      Alcotest.(check string) "old upload form is a bad request"
+        Protocol.bad_request e.Client.kind
+  | Ok _ -> Alcotest.fail "upload with a trace member accepted");
+  Alcotest.(check bool) "connection still serves" true (Client.ping c = Ok ());
   (* second upload of the same bytes is a dedup, not a second store *)
   Alcotest.(check string) "idempotent upload" id
     (Result.get_ok (Client.upload ~trace:bytes c));
@@ -527,6 +570,8 @@ let suites =
           test_frame_oversized_rejected;
         Alcotest.test_case "protocol: trace ids are stable digests" `Quick
           test_trace_id;
+        Alcotest.test_case "protocol: raw frames round-trip every byte"
+          `Quick test_raw_frame_roundtrip;
         Alcotest.test_case "socket: upload/replay/report round-trip" `Quick
           test_socket_roundtrip;
         Alcotest.test_case "socket: rate limiter refuses bursts with busy"
